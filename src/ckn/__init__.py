@@ -28,7 +28,7 @@ from .continuation import (
     merge_branches,
     symmetric_discrete_branch,
 )
-from .eigensolver import EigenResult, SolverCache, assemble_operator, lowest_eigenpair
+from .eigensolver import EigenResult, SolverCache, lowest_eigenpair
 from .fixedpoint import (
     FixedPointResult,
     critical_value,
@@ -56,7 +56,6 @@ from .symmetric import (
     mu_FS,
     soliton,
     soliton_norms,
-    symmetric_curve,
     transverse_mode,
 )
 

@@ -167,10 +167,10 @@ def detect_crossing(sym: ThetaCurve, nonsym: ThetaCurve,
     """
     if abs(sym.theta - nonsym.theta) > 1e-12:
         raise ValueError("curves belong to different theta values")
-    mask = ~nonsym.symmetric
-    if mask.sum() < 2:
+    asym = ~nonsym.symmetric
+    if asym.sum() < 2:
         return None
-    muN, LN, JN = nonsym.mu[mask], nonsym.Lambda[mask], nonsym.J[mask]
+    muN, LN, JN = nonsym.mu[asym], nonsym.Lambda[asym], nonsym.J[asym]
     if max(LN) < min(sym.Lambda) or min(LN) > max(sym.Lambda):
         return None
 
@@ -230,9 +230,9 @@ def _polish_crossing(c: Crossing, sym: ThetaCurve, nonsym: ThetaCurve) -> Crossi
     if slope <= 0:
         return c
 
-    mask = ~nonsym.symmetric
-    LN, JN = nonsym.Lambda[mask], nonsym.J[mask]
-    muN = nonsym.mu[mask]
+    asym = ~nonsym.symmetric
+    LN, JN = nonsym.Lambda[asym], nonsym.J[asym]
+    muN = nonsym.mu[asym]
 
     def branch_J(lam):
         for (a, b) in _monotone_pieces(LN):

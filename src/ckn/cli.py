@@ -114,15 +114,10 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
     header += ["t", "asymmetry", "checkpoint"]
     rows = []
     for pt in branch.points:
-        row = [pt.kappa, pt.mu]
-        for theta in config.theta_list:
-            lam, _ = analysis.curve_values(theta, pt.mu, pt.X, pt.Y, pt.Z, config.p)
-            row.append(float(lam))
-        for theta in config.theta_list:
-            _, J = analysis.curve_values(theta, pt.mu, pt.X, pt.Y, pt.Z, config.p)
-            row.append(float(J))
-        row += [pt.t, pt.asymmetry, pt.field_ref]
-        rows.append(row)
+        vals = [analysis.curve_values(theta, pt.mu, pt.X, pt.Y, pt.Z, config.p)
+                for theta in config.theta_list]
+        rows.append([pt.kappa, pt.mu] + [float(lam) for lam, _ in vals]
+                    + [float(J) for _, J in vals] + [pt.t, pt.asymmetry, pt.field_ref])
     path = out / "branch.csv"
     io.write_csv(path, io.config_echo(config), header, rows)
 
@@ -178,18 +173,9 @@ def cmd_analyze(config: io.RunConfig, out: Path) -> list[Path]:
     branch_csv = out / "branch.csv"
     if not branch_csv.exists():
         raise FileNotFoundError(f"{branch_csv} not found: run the branch command first")
-    files = []
+    files = cmd_gn_limit(config, out)
     params = config.params()
     mu_fs = mu_FS(config.p, config.d)
-
-    profile = gn.radial_ground_state(config.p, config.d)
-    theta_c = theta_critical(config.p, config.d)
-    j_inf = gn.J_infinity(config.p, config.d, config.measure_mode, profile)
-    lam_gn = analysis.lambda_GN(config.p, config.d, j_inf, config.measure_mode)
-    gn_path = out / "gn.csv"
-    io.write_csv(gn_path, io.config_echo(config),
-                 ["Theta", "J_inf", "Lambda_GN"], [(theta_c, j_inf, lam_gn)])
-    files.append(gn_path)
 
     # Symmetric reference resolved by the same discrete functional as the
     # branch, so the tiny J gaps near a crossing are bias-cancelled.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CknError, StepFailureError, SymmetricFallbackError
-from .eigensolver import SolverCache, _reduced_parts, embed, q_norm, restrict
+from .eigensolver import SolverCache, q_norm
 from .fixedpoint import FixedPointResult, roothan_solve, self_potential
 from .io import FieldStore
 from .model import CylinderGrid, Field, ProblemParams, evaluate_norms
@@ -103,19 +103,13 @@ class _SphereObjective:
     """Quotient (X + mu Y) / Z^(2/p) and its gradient on reduced dofs."""
 
     def __init__(self, grid: CylinderGrid, mu: float):
-        from .eigensolver import _stiffness_full, interior_mask
-
-        _, m, _, _ = _reduced_parts(grid)
-        Kf = _stiffness_full(grid)
-        mask = interior_mask(grid)
-        self.K = Kf[mask][:, mask].tocsr()
-        self.m = m
+        self.grid = grid
+        self.m = grid.m
         self.mu = mu
         self.p = grid.p
-        self.grid = grid
 
     def norms(self, x):
-        Kx = self.K @ x
+        Kx = self.grid.apply_K(self.grid.embed(x))
         X = float(x @ Kx)
         Y = float(self.m @ x**2)
         Z = float(self.m @ np.abs(x) ** self.p)
@@ -202,8 +196,8 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
     u0 = Field(grid, u_sym.values + eps_abs * w.values)
 
     obj = _SphereObjective(grid, mu0)
-    x, E = _sphere_cg_descent(obj, restrict(grid, u0.values), max_iter=descent_iters)
-    u_cg = Field(grid, embed(grid, x))
+    x, E = _sphere_cg_descent(obj, grid.restrict(u0.values), max_iter=descent_iters)
+    u_cg = Field(grid, grid.embed(x))
     if grid.integrate(u_cg.values) < 0:
         u_cg = Field(grid, -u_cg.values)
     u_cg = Field(grid, np.abs(u_cg.values))

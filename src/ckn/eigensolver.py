@@ -1,10 +1,10 @@
 """Lowest eigenpair of the weighted operator -Laplace - kappa V on the cylinder.
 
-The discrete operator comes from the staggered-difference energy form, so it
-is symmetric in the weighted inner product by construction.  Dirichlet rows
-at s = +-L and the zero-weight pole nodes are eliminated; the remaining
-generalized problem K u = lambda M u is scaled by M^(-1/2) into a standard
-symmetric one and solved by shifted inverse power iteration (shift = current
+The discrete operator is the one the grid assembled from the
+staggered-difference energy form: on the interior dofs (Dirichlet rows at
+s = +-L and the zero-weight pole nodes eliminated), the generalized problem
+K u = lambda M u is scaled by M^(-1/2) into the standard symmetric one with
+matrix B - kappa V, solved by shifted inverse power iteration (shift = current
 Rayleigh quotient - 0.5) with a preconditioned conjugate-gradient inner
 solve.  Every outer step is followed by a two-dimensional Rayleigh-Ritz
 extraction on span{previous, new}, which makes the Rayleigh quotient
@@ -25,65 +25,6 @@ from .model import CylinderGrid, Field
 CG_RTOL = 1e-11
 
 
-def _stiffness_full(grid: CylinderGrid) -> sp.csr_matrix:
-    """Energy-form stiffness on the full tensor grid (pole rows are zero)."""
-    if grid._stiffness is not None:
-        return grid._stiffness
-    n_s, n_phi = grid.n_s, grid.n_phi
-
-    diag_s = np.full(n_s, 2.0)
-    diag_s[0] = diag_s[-1] = 1.0
-    T_s = sp.diags(
-        [np.full(n_s - 1, -1.0), diag_s, np.full(n_s - 1, -1.0)], [-1, 0, 1]
-    ) / grid.h_s
-
-    cell = grid.mphi / grid.dphi**2
-    diag_p = np.zeros(n_phi)
-    diag_p[:-1] += cell
-    diag_p[1:] += cell
-    A_phi = sp.diags([-cell, diag_p, -cell], [-1, 0, 1])
-
-    K = sp.kron(T_s, sp.diags(grid.wphi)) + sp.kron(sp.diags(grid.ws), A_phi)
-    grid._stiffness = K.tocsr()
-    return grid._stiffness
-
-
-def _reduced_parts(grid: CylinderGrid):
-    """Cache of (B0, mass, 1/sqrt(mass), diag(B0)) on the interior dofs."""
-    if grid._reduced is None:
-        K = _stiffness_full(grid)
-        mask = interior_mask(grid)
-        K_red = K[mask][:, mask].tocsr()
-        m = np.outer(grid.ws, grid.wphi)[1:-1, 1:-1].ravel()
-        isq = 1.0 / np.sqrt(m)
-        S = sp.diags(isq)
-        B0 = (S @ K_red @ S).tocsr()
-        grid._reduced = (B0, m, isq, B0.diagonal())
-    return grid._reduced
-
-
-def interior_mask(grid: CylinderGrid) -> np.ndarray:
-    """Flattened mask of solver dofs: interior in s, off-pole in phi."""
-    m = np.zeros(grid.shape, dtype=bool)
-    m[1:-1, 1:-1] = True
-    return m.ravel()
-
-
-def restrict(grid: CylinderGrid, values: np.ndarray) -> np.ndarray:
-    return values[1:-1, 1:-1].ravel()
-
-
-def embed(grid: CylinderGrid, vec: np.ndarray) -> np.ndarray:
-    """Inverse of restrict: zero Dirichlet rows, pole rows copy neighbors."""
-    full = np.zeros(grid.shape)
-    full[1:-1, 1:-1] = vec.reshape(grid.n_s - 2, grid.n_phi - 2)
-    full[:, 0] = full[:, 1]
-    full[:, -1] = full[:, -2]
-    full[0] = 0.0
-    full[-1] = 0.0
-    return full
-
-
 @dataclass
 class EigenResult:
     """Converged lowest eigenpair: unit-norm nonnegative ground state."""
@@ -101,47 +42,32 @@ class CylinderOperator:
         self.grid = grid
         self.kappa = kappa
         self.V = V
-        B0, m, isq, diag0 = _reduced_parts(grid)
-        self.B0 = B0
-        self.m = m
-        self.isq = isq
-        self.kv = kappa * restrict(grid, V.values) if kappa != 0.0 else np.zeros(B0.shape[0])
-        self.diag = diag0 - self.kv
-        self.n = B0.shape[0]
+        self.isq = 1.0 / np.sqrt(grid.m)
+        self.n = grid.m.size
+        self.kv = kappa * grid.restrict(V.values) if kappa != 0.0 else np.zeros(self.n)
 
     def matvec(self, y: np.ndarray) -> np.ndarray:
-        return self.B0 @ y - self.kv * y
+        return self.grid.B @ y - self.kv * y
 
     def matrix(self, shift: float = 0.0) -> sp.csc_matrix:
-        return (self.B0 - sp.diags(self.kv + shift)).tocsc()
+        return (self.grid.B - sp.diags(self.kv + shift)).tocsc()
 
     def rayleigh(self, y: np.ndarray) -> float:
         return float(y @ self.matvec(y) / (y @ y))
 
     def to_field(self, y: np.ndarray) -> Field:
-        return Field(self.grid, embed(self.grid, y * self.isq))
+        return Field(self.grid, self.grid.embed(y * self.isq))
 
     def from_field(self, u: Field) -> np.ndarray:
-        return restrict(self.grid, u.values) / self.isq
+        return self.grid.restrict(u.values) / self.isq
 
     def apply(self, u: Field) -> Field:
-        """Pointwise action (M^-1 K - kappa V) u on the interior nodes.
-
-        Boundary columns of the full stiffness contribute, so fields with
-        nonzero values at s = +-L are differentiated against those values.
-        """
+        """Pointwise action (M^-1 K - kappa V) u on the interior nodes."""
         g = self.grid
-        K = _stiffness_full(g)
-        act = (K @ u.values.ravel())[interior_mask(g)] / self.m
+        act = g.action(u.values)
         if self.kappa != 0.0:
-            act = act - self.kv * restrict(g, u.values)
-        return Field(g, embed(g, act))
-
-
-def assemble_operator(kappa: float, V: Field, grid: CylinderGrid) -> CylinderOperator:
-    """Build the sparse symmetric operator handle for -Laplace - kappa V."""
-    _check_potential(kappa, V, grid)
-    return CylinderOperator(kappa, V, grid)
+            act = act - self.kv * g.restrict(u.values)
+        return Field(g, g.embed(act))
 
 
 def q_norm(V: Field) -> float:
@@ -169,21 +95,21 @@ class SolverCache:
     The factorization uses symmetric mode (symmetric permutation, no
     pivoting), so applying it inside CG is a symmetric positive operation.
     One instance can be shared across fixed-point iterations and whole
-    continuation runs; it is rebuilt only when requested (typically because
-    CG slowed down after the operator drifted).
+    continuation runs; it is rebuilt for a new grid or when requested
+    (typically because CG failed after the operator drifted).
     """
 
     def __init__(self):
         self._factor = None
-        self._grid_id = None
+        self._grid = None
 
     def preconditioner(self, op: CylinderOperator, shift: float, rebuild: bool = False):
-        if rebuild or self._factor is None or self._grid_id != id(op.grid):
+        if rebuild or self._factor is None or self._grid is not op.grid:
             self._factor = splu(
                 op.matrix(shift), permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0, options={"SymmetricMode": True},
             )
-            self._grid_id = id(op.grid)
+            self._grid = op.grid
         return self._factor.solve
 
     def invalidate(self):
@@ -227,45 +153,27 @@ def _pcg(op: CylinderOperator, shift: float, rhs: np.ndarray, x0: np.ndarray,
     return x, False
 
 
-def _jacobi(op: CylinderOperator, shift: float):
-    dinv = op.diag - shift
-    if np.any(dinv <= 0.0):
-        dinv = np.maximum(dinv, 1e-12)
-    dinv = 1.0 / dinv
-    return lambda r: dinv * r
-
-
 def _inner_solve(op: CylinderOperator, shift: float, rhs: np.ndarray, x0: np.ndarray,
                  rtol: float, cache: SolverCache):
+    """Solve (B - shift I) x = rhs; None when the shifted matrix is indefinite.
+
+    A failure with the cached factor may stem from its being stale (built
+    for an earlier operator), so it is retried once with a fresh factor.
+    """
     x, ok = _pcg(op, shift, rhs, x0, rtol, 200, cache.preconditioner(op, shift))
     if ok:
         return x
-    if x is None:
-        # Indefiniteness may stem from a stale preconditioner; retry fresh.
-        x, ok = _pcg(op, shift, rhs, x0, rtol, 200,
-                     cache.preconditioner(op, shift, rebuild=True))
-        if ok:
-            return x
-        if x is None:
-            return None  # shifted operator itself indefinite: lower the shift
-    else:
-        x, ok = _pcg(op, shift, rhs, x, rtol, 200,
-                     cache.preconditioner(op, shift, rebuild=True))
-        if ok:
-            return x
-    x, ok = _pcg(op, shift, rhs, x if x is not None else x0, rtol, 20000,
-                 _jacobi(op, shift))
-    if x is None:
-        return None
-    if not ok:
-        raise NonConvergenceError("inner CG stalled even with Jacobi fallback")
-    return x
+    x, ok = _pcg(op, shift, rhs, x0 if x is None else x, rtol, 200,
+                 cache.preconditioner(op, shift, rebuild=True))
+    if ok or x is None:
+        return x
+    raise NonConvergenceError("inner CG stalled even with a fresh factorization")
 
 
 def _default_start(op: CylinderOperator) -> np.ndarray:
     g = op.grid
     blob = np.exp(-g.s**2)[:, None] * np.ones(g.n_phi)[None, :]
-    y = restrict(g, blob) / op.isq
+    y = g.restrict(blob) / op.isq
     return y / np.linalg.norm(y)
 
 

@@ -56,15 +56,10 @@ def critical_value(u_eq: Field, mu: float) -> float:
 
 def eqmu_residual(u_eq: Field, mu: float) -> float:
     """Weighted L2 norm of -Laplace u + mu u - u^(p-1) on the interior."""
-    from .eigensolver import _stiffness_full, interior_mask, restrict
-
     g = u_eq.grid
-    K = _stiffness_full(g)
-    mask = interior_mask(g)
-    m = np.outer(g.ws, g.wphi)[1:-1, 1:-1].ravel()
-    act = (K @ u_eq.values.ravel())[mask] / m
-    r = act + mu * restrict(g, u_eq.values) - np.abs(restrict(g, u_eq.values)) ** (g.p - 1.0)
-    return float(np.sqrt(np.sum(m * r**2)))
+    u = g.restrict(u_eq.values)
+    r = g.action(u_eq.values) + mu * u - np.abs(u) ** (g.p - 1.0)
+    return float(np.sqrt(np.sum(g.m * r**2)))
 
 
 @dataclass
@@ -85,7 +80,7 @@ class FixedPointResult:
 
 def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemParams,
                   max_iter: int = 200, tol: float = 1e-10,
-                  warm_start: Field | None = None, mixing: float = 1.0,
+                  warm_start: Field | None = None,
                   eigen_tol: float = 1e-9, cache: SolverCache | None = None) -> FixedPointResult:
     """Iterate eigen-solve and potential update to a critical point.
 
@@ -100,8 +95,6 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
     nq = q_norm(V0)
     if abs(nq - 1.0) > 1e-8:
         raise NormalizationError(f"V0 q-norm is {nq}, expected 1 within 1e-8")
-    if not 0.0 < mixing <= 1.0:
-        raise ValueError(f"mixing factor must lie in (0, 1], got {mixing}")
     if cache is None:
         cache = SolverCache()
 
@@ -128,11 +121,7 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
         if dlam <= tol * (1.0 + abs(lam)) and dV <= np.sqrt(tol) and dV <= SELF_CONSISTENCY_TOL:
             converged = True
             break
-        if mixing < 1.0:
-            mixed = V.values + mixing * (V_self.values - V.values)
-            V = Field(grid, mixed / q_norm(Field(grid, mixed)))
-        else:
-            V = V_self
+        V = V_self
 
     if res is None:
         raise NonConvergenceError("roothan_solve made no iterations")

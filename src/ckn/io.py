@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .model import CylinderGrid, Field, ProblemParams, build_grid, theta_critical
+from .model import CylinderGrid, Field, ProblemParams, build_grid
 
 MAGIC = b"CKNFLD01"
 CHECKPOINT_VERSION = 1
@@ -69,22 +69,28 @@ def load_field(path, grid: CylinderGrid | None = None) -> Field:
         raise CheckpointError(f"{path}: unsupported version {version}")
     body = raw[len(MAGIC) + _HEADER.size:-4]
     values = np.frombuffer(body, dtype="<f8").reshape(n_s, n_phi).copy()
+    mode_name = "probability" if mode == 0 else "surface"
     if grid is None:
-        mode_name = "probability" if mode == 0 else "surface"
         grid = build_grid(L, n_s, n_phi, ProblemParams(d, p, 1.0, mode_name))
-    else:
-        if (grid.n_s, grid.n_phi) != (n_s, n_phi) or grid.d != d:
-            raise CheckpointError(f"{path}: checkpoint does not match the supplied grid")
+    elif (grid.d, grid.p, grid.measure_mode, grid.L, grid.n_s, grid.n_phi) != (
+            d, p, mode_name, L, n_s, n_phi):
+        raise CheckpointError(f"{path}: checkpoint does not match the supplied grid")
     return Field(grid, values)
 
 
 class FieldStore:
-    """Directory of numbered field checkpoints with deterministic ids."""
+    """Directory of numbered field checkpoints with deterministic ids.
+
+    Numbering continues after the highest id already in the directory, so
+    stores opened on the same directory by successive commands never
+    overwrite each other's fields.
+    """
 
     def __init__(self, directory):
         self.dir = Path(directory)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self._counter = 0
+        ids = [int(f.stem[3:]) for f in self.dir.glob("cp_*.ckn") if f.stem[3:].isdigit()]
+        self._counter = max(ids, default=-1) + 1
 
     def save(self, u: Field) -> str:
         cid = f"cp_{self._counter:05d}"
@@ -121,14 +127,11 @@ class RunConfig:
     run_id: str = "ckn-run"
 
     def __post_init__(self):
-        if self.d < 3:
-            raise ConfigError(f"d must be >= 3, got {self.d}")
-        if not 2.0 < self.p < 2.0 * self.d / (self.d - 2.0):
-            raise ConfigError(f"p={self.p} outside (2, 2d/(d-2))")
-        tc = theta_critical(self.p, self.d)
-        for th in self.theta_list:
-            if not tc - 1e-12 <= th <= 1.0 + 1e-12:
-                raise ConfigError(f"theta={th} outside [{tc}, 1]")
+        try:
+            for th in [1.0, *self.theta_list]:
+                self.params(th)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for name in ("n_s", "n_phi", "mu0_factor", "eps", "mu_min_factor", "tol", "eigen_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -136,8 +139,6 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ConfigError(f"{name} must be positive when given")
-        if self.measure_mode not in ("probability", "surface"):
-            raise ConfigError(f"unknown measure_mode {self.measure_mode}")
 
     def params(self, theta: float = 1.0) -> ProblemParams:
         return ProblemParams(self.d, self.p, theta, self.measure_mode)

@@ -9,9 +9,10 @@ either to total mass 1 ("probability" mode) or to |S^{d-1}| ("surface" mode).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 MEASURE_MODES = ("probability", "surface")
 
@@ -78,21 +79,24 @@ class ProblemParams:
         th = self.theta if theta is None else theta
         return 2.0 * self.d / (self.d - 2.0 * th)
 
-    @property
-    def angular_total(self) -> float:
-        return 1.0 if self.measure_mode == "probability" else sphere_area(self.d)
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CylinderGrid:
-    """Tensor (s, phi) grid with sin^{d-2}(phi)-weighted quadrature.
+    """Tensor (s, phi) grid with sin^{d-2}(phi)-weighted quadrature and the
+    one discrete energy operator every solver reads.
 
     s is uniform on [-L, L]; phi nodes are cosine-clustered towards the
     poles, phi_j = (pi/2) (1 - cos(pi j / (n_phi - 1))).  Node weights at
     the poles vanish exactly (the angular density is zero there); the
     staggered midpoint weights `mphi` used for the angular gradient are
     zero on the two pole-adjacent cells, so pole values never enter any
-    norm or energy.  Treat instances as immutable after construction.
+    norm or energy.
+
+    `K` is the staggered-difference energy form on the full tensor grid
+    (u . K u = int |grad u|^2; pole rows are zero).  The solver dofs are
+    the interior nodes (off the Dirichlet ends s = +-L and off the poles):
+    `m` is their quadrature mass and `B = M^-1/2 K_int M^-1/2` the
+    mass-scaled interior stiffness, symmetric in the Euclidean product.
     """
 
     d: int
@@ -108,16 +112,14 @@ class CylinderGrid:
     dphi: np.ndarray
     mphi: np.ndarray
     h_s: float
-    _stiffness: object = field(default=None, repr=False, compare=False)
-    _reduced: object = field(default=None, repr=False, compare=False)
+    angular_total: float
+    K: sp.csr_matrix
+    m: np.ndarray
+    B: sp.csr_matrix
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_s, self.n_phi)
-
-    @property
-    def angular_total(self) -> float:
-        return 1.0 if self.measure_mode == "probability" else sphere_area(self.d)
 
     @property
     def weights(self) -> np.ndarray:
@@ -130,9 +132,34 @@ class CylinderGrid:
     def params(self, theta: float = 1.0) -> ProblemParams:
         return ProblemParams(self.d, self.p, theta, self.measure_mode)
 
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """Interior dofs of a nodal table, flattened in s-major order."""
+        return values[1:-1, 1:-1].ravel()
+
+    def embed(self, vec: np.ndarray) -> np.ndarray:
+        """Inverse of restrict: zero Dirichlet rows, pole rows copy neighbors."""
+        full = np.zeros(self.shape)
+        full[1:-1, 1:-1] = vec.reshape(self.n_s - 2, self.n_phi - 2)
+        full[:, 0] = full[:, 1]
+        full[:, -1] = full[:, -2]
+        return full
+
+    def apply_K(self, values: np.ndarray) -> np.ndarray:
+        """Interior rows of K u for a nodal table u.
+
+        Boundary columns of K contribute, so fields with nonzero values at
+        s = +-L are differentiated against those values; on an embedded
+        interior vector x this is exactly K_int x.
+        """
+        return self.restrict((self.K @ values.ravel()).reshape(self.shape))
+
+    def action(self, values: np.ndarray) -> np.ndarray:
+        """Pointwise -Laplace u = M^-1 (K u) on the interior dofs."""
+        return self.apply_K(values) / self.m
+
 
 def build_grid(L: float, n_s: int, n_phi: int, params: ProblemParams) -> CylinderGrid:
-    """Construct the weighted tensor grid for `params`.
+    """Construct the weighted tensor grid for `params` and assemble its operator.
 
     The angular node weights are trapezoidal cells times the nodal density
     sin^{d-2}(phi), rescaled so the total angular mass is exact (1 or
@@ -159,7 +186,8 @@ def build_grid(L: float, n_s: int, n_phi: int, params: ProblemParams) -> Cylinde
     cells[1:-1] = 0.5 * (phi[2:] - phi[:-2])
     raw = cells * np.sin(phi) ** (d - 2)
     raw[0] = raw[-1] = 0.0
-    scale = params.angular_total / raw.sum()
+    total = 1.0 if params.measure_mode == "probability" else sphere_area(d)
+    scale = total / raw.sum()
     wphi = scale * raw
 
     dphi = np.diff(phi)
@@ -167,9 +195,26 @@ def build_grid(L: float, n_s: int, n_phi: int, params: ProblemParams) -> Cylinde
     mphi = scale * dphi * np.sin(mid) ** (d - 2)
     mphi[0] = mphi[-1] = 0.0  # pole cells carry no angular-gradient weight
 
+    # energy form: s-differences weighted by wphi, phi-differences by ws
+    diag_s = np.full(n_s, 2.0)
+    diag_s[0] = diag_s[-1] = 1.0
+    T_s = sp.diags([np.full(n_s - 1, -1.0), diag_s, np.full(n_s - 1, -1.0)], [-1, 0, 1]) / h_s
+    cell = mphi / dphi**2
+    diag_p = np.zeros(n_phi)
+    diag_p[:-1] += cell
+    diag_p[1:] += cell
+    A_phi = sp.diags([-cell, diag_p, -cell], [-1, 0, 1])
+    K = (sp.kron(T_s, sp.diags(wphi)) + sp.kron(sp.diags(ws), A_phi)).tocsr()
+
+    inner = np.arange(n_s * n_phi).reshape(n_s, n_phi)[1:-1, 1:-1].ravel()
+    m = np.outer(ws, wphi)[1:-1, 1:-1].ravel()
+    S = sp.diags(1.0 / np.sqrt(m))
+    B = (S @ K[inner][:, inner].tocsr() @ S).tocsr()
+
     return CylinderGrid(
         d=d, p=params.p, measure_mode=params.measure_mode, L=L, n_s=n_s, n_phi=n_phi,
         s=s, phi=phi, ws=ws, wphi=wphi, dphi=dphi, mphi=mphi, h_s=h_s,
+        angular_total=total, K=K, m=m, B=B,
     )
 
 
@@ -206,7 +251,11 @@ class Field:
 
 
 def dirichlet_energy(u: Field) -> float:
-    """Quadrature-weighted energy int |grad u|^2 from staggered differences."""
+    """Quadrature-weighted energy int |grad u|^2 from staggered differences.
+
+    This is u . K u, summed over the differences themselves so that it is
+    exactly zero on constants (K u carries roundoff there).
+    """
     g = u.grid
     v = u.values
     ds = np.diff(v, axis=0)

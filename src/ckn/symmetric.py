@@ -33,11 +33,6 @@ def lambda1_H(mu: float, p: float, d: int) -> float:
     return d - 1.0 + mu - 0.25 * mu * p * p
 
 
-def lambda_star(p: float, d: int) -> float:
-    """Reference bound (d-1)(6-p)/(4(p-2)); documentation only, unused in solves."""
-    return (d - 1.0) * (6.0 - p) / (4.0 * (p - 2.0))
-
-
 @dataclass(frozen=True)
 class SymmetricSolution:
     """The explicit symmetric critical point at parameter mu."""
@@ -133,18 +128,6 @@ def mu_from_kappa_sym(kappa: float, params: ProblemParams) -> float:
         c *= sphere_area(params.d)
     Z = kappa ** (p / (p - 2.0))
     return (Z / c) ** (2.0 * (p - 2.0) / (p + 2.0))
-
-
-def symmetric_curve(mu_list, theta: float, params: ProblemParams) -> np.ndarray:
-    """Closed-form (Lambda, J) samples of the symmetric family.
-
-    Returns an array of shape (len(mu_list), 2).
-    """
-    out = np.empty((len(mu_list), 2))
-    for k, mu in enumerate(mu_list):
-        out[k, 0] = lambda_sym_theta(mu, theta, params.p)
-        out[k, 1] = J_sym_theta(mu, theta, params)
-    return out
 
 
 def _transverse_operator_1d(mu: float, params: ProblemParams, grid: CylinderGrid):

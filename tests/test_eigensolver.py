@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from ckn.errors import NormalizationError
-from ckn.eigensolver import (
-    CylinderOperator,
-    SolverCache,
-    assemble_operator,
-    embed,
-    lowest_eigenpair,
-    q_norm,
-    restrict,
-)
+from ckn.eigensolver import CylinderOperator, SolverCache, lowest_eigenpair, q_norm
 from ckn.fixedpoint import self_potential
 from ckn.model import Field, ProblemParams, build_grid, dirichlet_energy
 from ckn.symmetric import mu_FS, soliton
@@ -105,7 +97,7 @@ def test_eigenfunction_symmetric_for_symmetric_potential(grid400, cache):
 def test_operator_self_adjoint(grid400):
     g = grid400
     kappa, V, _ = soliton_problem(g, 2.0)
-    op = assemble_operator(kappa, V, g)
+    op = CylinderOperator(kappa, V, g)
     rng = np.random.RandomState(1)
     worst = 0.0
     for _ in range(10):
@@ -119,7 +111,7 @@ def test_operator_self_adjoint(grid400):
 def test_action_on_angular_constant_matches_1d():
     params = ProblemParams(D, P, 1.0, "probability")
     g = build_grid(8.0, 120, 16, params)
-    op = assemble_operator(0.0, normalized_constant_potential(g), g)
+    op = CylinderOperator(0.0, normalized_constant_potential(g), g)
     gfun = np.sin(np.pi * (g.s + g.L) / (2 * g.L))
     u = Field(g, np.repeat(gfun[:, None], g.n_phi, axis=1))
     act = op.apply(u).values
@@ -164,7 +156,7 @@ def test_restrict_embed_roundtrip():
     g = build_grid(8.0, 32, 8, params)
     rng = np.random.RandomState(2)
     vec = rng.randn((g.n_s - 2) * (g.n_phi - 2))
-    full = embed(g, vec)
-    np.testing.assert_array_equal(restrict(g, full), vec)
+    full = g.embed(vec)
+    np.testing.assert_array_equal(g.restrict(full), vec)
     assert np.all(full[0] == 0) and np.all(full[-1] == 0)
     np.testing.assert_array_equal(full[:, 0], full[:, 1])

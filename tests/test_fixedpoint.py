@@ -118,14 +118,3 @@ def test_bad_kappa_rejected(setup):
     _, V0, _ = soliton_start(g, 2.0)
     with pytest.raises(ValueError):
         roothan_solve(-1.0, V0, g, params)
-    with pytest.raises(ValueError):
-        roothan_solve(1.0, V0, g, params, mixing=1.5)
-
-
-def test_mixing_converges_to_same_point(setup):
-    g, params, cache = setup
-    kappa, V0, u = soliton_start(g, 2.0)
-    fp1 = roothan_solve(kappa, V0, g, params, warm_start=u, cache=cache)
-    fp2 = roothan_solve(kappa, V0, g, params, warm_start=u, cache=cache, mixing=0.7)
-    assert fp2.converged
-    assert fp2.mu == pytest.approx(fp1.mu, rel=1e-7)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ckn import cli
+from ckn.continuation import asymmetry
 from ckn.errors import CheckpointError, ConfigError
 from ckn.io import (
     FieldStore,
@@ -60,9 +61,14 @@ def test_checkpoint_rejects_bad_magic(tmp_path, small_field):
 def test_checkpoint_grid_mismatch(tmp_path, small_field):
     p = tmp_path / "x.ckn"
     save_field(p, small_field)
-    other = build_grid(8.0, 64, 8, ProblemParams(5, 2.8, 1.0, "surface"))
-    with pytest.raises(CheckpointError):
-        load_field(p, other)
+    for L, n_s, params in [(8.0, 64, ProblemParams(5, 2.8, 1.0, "surface")),
+                           (8.0, 32, ProblemParams(5, 2.78, 1.0, "surface")),
+                           (9.0, 32, ProblemParams(5, 2.8, 1.0, "surface")),
+                           (8.0, 32, ProblemParams(5, 2.8, 1.0, "probability"))]:
+        with pytest.raises(CheckpointError):
+            load_field(p, build_grid(L, n_s, 8, params))
+    same = build_grid(8.0, 32, 8, ProblemParams(5, 2.8, 1.0, "surface"))
+    np.testing.assert_array_equal(load_field(p, same).values, small_field.values)
 
 
 def test_field_store_sequential_ids(tmp_path, small_field):
@@ -213,6 +219,14 @@ def test_cli_analyze_outputs(cli_branch_run):
     assert grows[0][1] > 0 and grows[0][2] > 0
     _, eheader, erows = read_csv(out / "envelope_1.000000.csv")
     assert eheader == ["Lambda", "J_min", "source"]
+    # analyze writes its symmetric reference next to the branch's fields:
+    # every branch.csv row must still find its own field afterwards
+    _, bheader, brows = read_csv(out / "branch.csv")
+    i_cp, i_asym = bheader.index("checkpoint"), bheader.index("asymmetry")
+    store = FieldStore(out / "checkpoints")
+    for row in brows:
+        u = store.load(row[i_cp])
+        assert asymmetry(u) == pytest.approx(row[i_asym], rel=1e-12, abs=1e-12)
 
 
 def test_cli_svg_structure(cli_branch_run):

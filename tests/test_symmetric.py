@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ckn.analysis import symmetric_theta_curve
 from ckn.errors import SymmetricStableError
 from ckn.model import ProblemParams, build_grid, evaluate_Q
 from ckn.symmetric import (
@@ -9,13 +10,11 @@ from ckn.symmetric import (
     critical_value_sym,
     descent_direction,
     lambda1_H,
-    lambda_star,
     lambda_sym_theta,
     mu_FS,
     mu_from_kappa_sym,
     soliton,
     soliton_norms,
-    symmetric_curve,
     t_symmetric,
     transverse_mode,
 )
@@ -105,10 +104,6 @@ def test_mu_FS_values():
     assert mu_FS(2.0 + 1e-13, D) > 1e12
 
 
-def test_lambda_star_reference():
-    assert lambda_star(2.8, 5) == pytest.approx(4 * 3.2 / (4 * 0.8), rel=1e-12)
-
-
 def test_virial_identity_sweep():
     for mu in np.geomspace(0.01, 100.0, 17):
         X, Y, _ = soliton_norms(mu, P, D, "probability")
@@ -122,8 +117,8 @@ def test_t_symmetric_value():
 def test_symmetric_curve_theta_one_collapse():
     params = ProblemParams(D, P, 1.0, "surface")
     mus = [1.0, 2.0, 5.0]
-    pts = symmetric_curve(mus, 1.0, params)
-    for (lam, J), mu in zip(pts, mus):
+    curve = symmetric_theta_curve(params, 1.0, mus)
+    for lam, J, mu in zip(curve.Lambda, curve.J, mus):
         assert lam == pytest.approx(mu, rel=1e-14)
         assert J == pytest.approx(critical_value_sym(mu, params), rel=1e-14)
 
