@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 from pathlib import Path
@@ -20,7 +21,7 @@ from . import analysis, continuation, gn, io, svg
 from .errors import CknError, ConfigError, NonConvergenceError, StepFailureError
 from .eigensolver import SolverCache
 from .model import ProblemParams, build_grid, theta_critical
-from .symmetric import mu_FS, soliton, soliton_norms, t_symmetric
+from .symmetric import critical_value_sym, mu_FS, soliton, soliton_norms, t_symmetric
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -97,13 +98,17 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
         config.mu0_factor * mu_fs, config.eps, grid, params, store, cache)
     eta = config.eta if config.eta is not None else start.kappa / 200.0
     kappa_stop = config.kappa_stop if config.kappa_stop is not None else 2.0 * start.kappa
-    down = continuation.continue_branch(
-        start, eta, "down", 0.0, grid, params, store, start_result=fp,
-        cache=cache, mu_min_factor=config.mu_min_factor, tol=config.tol)
-    up = continuation.continue_branch(
-        start, eta, "up", kappa_stop, grid, params, store, start_result=fp,
-        cache=cache, mu_min_factor=config.mu_min_factor, tol=config.tol)
-    branch = continuation.merge_branches(down, up)
+    walks, stopped = [], None
+    try:
+        for direction, stop in (("down", 0.0), ("up", kappa_stop)):
+            walks.append(continuation.continue_branch(
+                start, eta, direction, stop, grid, params, store, start_result=fp,
+                cache=cache, mu_min_factor=config.mu_min_factor, tol=config.tol))
+    except StepFailureError as exc:
+        # keep what the stalled walk collected; the error still exits 3
+        walks.append(exc.branch)
+        stopped = exc
+    branch = functools.reduce(continuation.merge_branches, walks)
     elapsed = time.time() - t0
 
     header = ["kappa", "mu"]
@@ -122,20 +127,24 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
     io.write_csv(path, io.config_echo(config), header, rows)
 
     manifest = out / "manifest.json"
+    n_points = {w.provenance["direction"]: len(w.points) for w in walks}
     io.write_manifest(manifest, config, {
         "timings": {"branch_seconds": elapsed},
         "convergence": {
             "eta": eta,
-            "eta_halvings": down.provenance["halvings"] + up.provenance["halvings"],
-            "points_down": len(down.points),
-            "points_up": len(up.points),
+            "eta_halvings": sum(w.provenance["halvings"] for w in walks),
+            "points_down": n_points.get("down", 0),
+            "points_up": n_points.get("up", 0),
             "kappa_range": [branch.points[0].kappa, branch.points[-1].kappa],
         },
         "provenance": {
             "mu0": config.mu0_factor * mu_fs, "eps": config.eps,
             "seed_direction": "transverse mode phi1(s) cos(phi)",
         },
+        "stopped": None if stopped is None else str(stopped),
     })
+    if stopped is not None:
+        raise stopped
     return [path, manifest]
 
 
@@ -180,10 +189,7 @@ def cmd_analyze(config: io.RunConfig, out: Path) -> list[Path]:
     # Symmetric reference resolved by the same discrete functional as the
     # branch, so the tiny J gaps near a crossing are bias-cancelled.
     grid, _ = _grid(config)
-    store = io.FieldStore(out / "checkpoints")
-    cache = SolverCache()
-    kappa_fs = float(soliton_norms(mu_fs, config.p, config.d, config.measure_mode)[2]
-                     ** ((config.p - 2.0) / config.p))
+    kappa_fs = critical_value_sym(mu_fs, params)
     _, header_b, rows_b = io.read_csv(branch_csv)
     kap_branch = np.array([r[header_b.index("kappa")] for r in rows_b], dtype=float)
     kap_hi = max(kap_branch.max(), 1.5 * kappa_fs)
@@ -191,7 +197,7 @@ def cmd_analyze(config: io.RunConfig, out: Path) -> list[Path]:
         np.geomspace(0.3 * kappa_fs, kap_hi, 60),
         np.linspace(0.985 * kappa_fs, 1.02 * kappa_fs, 40),
     ])
-    sym_branch = continuation.symmetric_discrete_branch(kappas, grid, params, store, cache)
+    sym_branch = continuation.symmetric_discrete_branch(kappas, grid, params)
 
     crossing_rows = []
     for theta in config.theta_list:
@@ -237,7 +243,7 @@ def cmd_analyze(config: io.RunConfig, out: Path) -> list[Path]:
             cands = [r for r in rows_b if isinstance(r[i_cp], str) and r[i_cp]]
             near = min(cands, key=lambda r: abs(r[i_mu] - crossing.mu1))
             try:
-                fld = store.load(near[i_cp])
+                fld = io.FieldStore(out / "checkpoints").load(near[i_cp])
                 files.append(_field_contour_csv(
                     config, out, f"crossing_field_mu1_{_theta_tag(theta)}.csv", fld))
             except CknError:

@@ -22,7 +22,7 @@ from .eigensolver import SolverCache, q_norm
 from .fixedpoint import FixedPointResult, roothan_solve, self_potential
 from .io import FieldStore
 from .model import CylinderGrid, Field, ProblemParams, evaluate_norms
-from .symmetric import critical_value_sym, mu_FS, mu_from_kappa_sym, soliton, transverse_mode
+from .symmetric import critical_value_sym, discrete_soliton, mu_FS, soliton, transverse_mode
 
 log = logging.getLogger(__name__)
 
@@ -240,8 +240,10 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     direction "down" walks toward the bifurcation and stops once the point
     is symmetric (asymmetry < 1e-4) or mu <= mu_FS, then extends the branch
     with closed-form symmetric points down to mu_min_factor * mu_FS;
-    "up" walks until kappa_stop.  eta halves on non-convergence (floor
-    eta/64) and recovers afterwards.
+    "up" walks until kappa_stop.  eta halves on a failed step (no
+    convergence, mu <= 0, any CknError from the solver, or a jump past the
+    continuity guard) and recovers afterwards; below eta/64 the walk raises
+    StepFailureError, whose `branch` holds the points collected so far.
 
     The fixed-point budget per point is generous because the amplitude
     mode slows down critically near the bifurcation; once kappa drops
@@ -313,10 +315,13 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
             eta_cur *= 0.5
             halvings += 1
             if eta_cur < eta_min:
-                raise StepFailureError(
-                    f"continuation stalled at kappa = {kappa:.6g} "
-                    f"(step fell below {eta_min:.3g})"
-                )
+                reason = (f"continuation stalled at kappa = {kappa:.6g} "
+                          f"(step fell below {eta_min:.3g})")
+                partial = Branch(
+                    params=params, points=sorted(points, key=lambda pt: pt.kappa),
+                    provenance={"direction": direction, "eta": eta, "halvings": halvings},
+                    store_dir=str(store.dir))
+                raise StepFailureError(reason, partial)
             continue
         points.append(_branch_point(fp, store))
         kappa_prev, kappa = kappa, kappa_next
@@ -352,29 +357,24 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
                   store_dir=str(store.dir))
 
 
-def symmetric_discrete_branch(kappas, grid: CylinderGrid, params: ProblemParams,
-                              store: FieldStore, cache: SolverCache | None = None,
-                              tol: float = 1e-10) -> Branch:
-    """Symmetric-sector fixed points at the given kappa values.
+def symmetric_discrete_branch(kappas, grid: CylinderGrid, params: ProblemParams) -> Branch:
+    """Angular-constant critical points of the grid functional at the given kappas.
 
-    Seeding with the closed-form soliton keeps every iterate exactly
-    angular-constant, so this resolves the symmetric family as the same
-    discrete functional sees it; comparing the non-symmetric branch
-    against it cancels the shared discretization bias.
+    Each point is the exact 1-D reduction of the discrete problem
+    (`discrete_soliton`) embedded as a field constant in phi, so this is
+    the symmetric family as the same discrete functional sees it;
+    comparing the non-symmetric branch against it cancels the shared
+    discretization bias.  Raises NonConvergenceError naming the kappa
+    whose Newton solve failed.
     """
-    if cache is None:
-        cache = SolverCache()
     points = []
     for kappa in sorted(float(k) for k in kappas):
-        mu_guess = mu_from_kappa_sym(kappa, params)
-        u0 = soliton(mu_guess, params.p).sample(grid)
-        fp = roothan_solve(kappa, self_potential(u0), grid, params,
-                           warm_start=u0, cache=cache, tol=tol)
-        if not (fp.converged and fp.mu_positive):
-            continue
-        points.append(_branch_point(fp, store))
-    return Branch(params=params, points=points,
-                  provenance={"family": "symmetric-sector"}, store_dir=str(store.dir))
+        mu, v = discrete_soliton(kappa, params, grid)
+        u = Field(grid, np.repeat(v[:, None], grid.n_phi, axis=1))
+        X, Y, Z = evaluate_norms(u)
+        points.append(BranchPoint(kappa=kappa, mu=mu, X=X, Y=Y, Z=Z, t=X / Y,
+                                  asymmetry=asymmetry(u)))
+    return Branch(params=params, points=points, provenance={"family": "symmetric-sector"})
 
 
 def merge_branches(down: Branch, up: Branch) -> Branch:

@@ -13,6 +13,10 @@ class NormalizationError(CknError):
     """An input potential missed its required unit q-norm."""
 
 
+class MonotonicityError(CknError):
+    """The fixed-point eigenvalue history rose or broke its lower bound."""
+
+
 class PositivityError(CknError):
     """A computed ground state violated sign-definiteness."""
 
@@ -26,7 +30,14 @@ class SymmetricFallbackError(CknError):
 
 
 class StepFailureError(CknError):
-    """Branch continuation could not advance even at the minimum step."""
+    """Branch continuation could not advance even at the minimum step.
+
+    `branch` holds the points collected before the stall.
+    """
+
+    def __init__(self, message, branch):
+        super().__init__(message)
+        self.branch = branch
 
 
 class AmbiguousCrossingError(CknError):

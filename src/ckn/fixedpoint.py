@@ -3,8 +3,8 @@
 Each step solves for the ground state of -Laplace - kappa V, then replaces
 V by |u|^(p-2) / ||u||_p^(p-2).  The eigenvalue sequence is non-increasing
 (the update maximizes the potential energy over unit q-norm potentials),
-which is asserted at runtime.  At convergence mu = -lambda and the rescaled
-iterate solves -Laplace u + mu u = u^(p-1).
+which is checked at runtime (MonotonicityError).  At convergence
+mu = -lambda and the rescaled iterate solves -Laplace u + mu u = u^(p-1).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError, NormalizationError
+from .errors import MonotonicityError, NonConvergenceError, NormalizationError
 from .model import CylinderGrid, Field, ProblemParams
 from .eigensolver import SolverCache, lowest_eigenpair, q_norm
 
@@ -109,7 +109,7 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
         eig_total += res.iterations
         lam = res.lam
         if history and lam > history[-1] + MONOTONE_SLACK:
-            raise AssertionError(
+            raise MonotonicityError(
                 f"eigenvalue sequence increased: {history[-1]} -> {lam}"
             )
         history.append(lam)
@@ -129,7 +129,9 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
     mu = -history[-1]
     hist = np.asarray(history)
     # Sanity: a monotone sequence converging to -mu never dips below it by much.
-    assert hist.min() >= -abs(mu) - 1.0, "eigenvalue history broke its lower bound"
+    if hist.min() < -abs(mu) - 1.0:
+        raise MonotonicityError(
+            f"eigenvalue history {hist.min()} broke its lower bound {-abs(mu) - 1.0}")
 
     u_eq = rescale_to_eqmu(res.u, kappa)
     return FixedPointResult(

@@ -15,12 +15,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import NonConvergenceError
-from .model import sphere_area
+from .model import sphere_area, theta_critical
 
-
-def _theta(p: float, d: int) -> float:
-    # local form valid for any d >= 1 (the model-level one gates d >= 3)
-    return d * (p - 2.0) / (2.0 * p)
 
 R_MAX = 50.0
 TAIL_CUT = 1e-9
@@ -47,7 +43,7 @@ class RadialProfile:
 
     def pohozaev_residuals(self) -> tuple[float, float]:
         """Relative residuals of X = Theta Z and Y = (1-Theta) Z."""
-        th = _theta(self.p, self.d)
+        th = theta_critical(self.p, self.d)
         return (
             abs(self.X_e - th * self.Z_e) / self.Z_e,
             abs(self.Y_e - (1.0 - th) * self.Z_e) / self.Z_e,
@@ -174,7 +170,7 @@ def _certify(profile: RadialProfile):
 
 def balance_constant(p: float, d: int) -> float:
     """k = theta^theta (1-theta)^(1-theta) at the critical exponent."""
-    th = _theta(p, d)
+    th = theta_critical(p, d)
     return th**th * (1.0 - th) ** (1.0 - th)
 
 

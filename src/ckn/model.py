@@ -26,9 +26,12 @@ def theta_critical(p: float, d: int) -> float:
     """Critical interpolation exponent d(p-2)/(2p).
 
     Admissible exponents theta for the quotient lie in [theta_critical, 1].
+    The formula holds in any dimension d >= 1 (the radial ground state's
+    Pohozaev identities use it at d = 1 as well); ProblemParams separately
+    requires d >= 3.
     """
-    if d < 3:
-        raise ValueError(f"dimension must be >= 3, got {d}")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     if p <= 2:
         raise ValueError(f"exponent p must exceed 2, got {p}")
     return d * (p - 2.0) / (2.0 * p)

@@ -44,8 +44,7 @@ def _add_symmetric_reference(run, n_coarse=50, n_fine=40):
         np.geomspace(0.3 * kappa_fs, max(kap_hi, 1.5 * kappa_fs), n_coarse),
         np.linspace(0.985 * kappa_fs, 1.02 * kappa_fs, n_fine),
     ])
-    run["sym_branch"] = symmetric_discrete_branch(
-        kappas, grid, params, run["store"], run["cache"])
+    run["sym_branch"] = symmetric_discrete_branch(kappas, grid, params)
     run["kappa_fs"] = kappa_fs
     return run
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ckn import symmetric
 from ckn.continuation import (
     Branch,
     BranchPoint,
@@ -12,10 +13,18 @@ from ckn.continuation import (
     symmetric_discrete_branch,
 )
 from ckn.eigensolver import SolverCache
-from ckn.errors import SymmetricFallbackError
+from ckn.errors import NonConvergenceError, SymmetricFallbackError
+from ckn.fixedpoint import critical_value, eqmu_residual, roothan_solve, self_potential
 from ckn.io import FieldStore
-from ckn.model import Field, ProblemParams, build_grid
-from ckn.symmetric import critical_value_sym, mu_FS, soliton, soliton_norms
+from ckn.model import Field, ProblemParams, build_grid, evaluate_norms
+from ckn.symmetric import (
+    critical_value_sym,
+    discrete_soliton,
+    mu_FS,
+    mu_from_kappa_sym,
+    soliton,
+    soliton_norms,
+)
 
 P, D = 2.8, 5
 
@@ -152,20 +161,61 @@ def test_branch_validation():
         Branch(params=params, points=pts)
 
 
-def test_symmetric_discrete_branch_matches_closed_form(coarse, tmp_path_factory):
-    g, params, cache = coarse
-    store = FieldStore(tmp_path_factory.mktemp("symb"))
+def test_symmetric_discrete_branch_matches_closed_form(coarse):
+    g, params, _ = coarse
     kfs = critical_value_sym(mu_FS(P, D), params)
-    br = symmetric_discrete_branch([0.8 * kfs, kfs], g, params, store, cache)
+    br = symmetric_discrete_branch([0.8 * kfs, kfs], g, params)
     assert len(br.points) == 2
     for pt in br.points:
-        from ckn.symmetric import mu_from_kappa_sym
-
         mu_cf = mu_from_kappa_sym(pt.kappa, params)
         assert pt.mu == pytest.approx(mu_cf, rel=2e-3)
         assert pt.asymmetry <= 1e-8
         _, _, Zc = soliton_norms(mu_cf, P, D, "surface")
         assert pt.Z == pytest.approx(Zc, rel=5e-3)
+
+
+def test_symmetric_discrete_branch_stays_symmetric_far_above_bifurcation(coarse):
+    # a 2-D fixed point seeded with the soliton loses angular constancy to
+    # roundoff here and lands on the concentrated state (mu 73.8)
+    g, params, _ = coarse
+    kappa = 3.0 * critical_value_sym(mu_FS(P, D), params)
+    (pt,) = symmetric_discrete_branch([kappa], g, params).points
+    assert pt.asymmetry <= 1e-8
+    # the discrete mu is 15.045 against 15.012 in closed form: an O(h^2)
+    # gap that falls fourfold per grid doubling
+    assert pt.mu == pytest.approx(mu_from_kappa_sym(kappa, params), rel=3e-3)
+
+
+def test_symmetric_discrete_branch_matches_2d_fixed_point(coarse):
+    g, params, cache = coarse
+    kfs = critical_value_sym(mu_FS(P, D), params)
+    kappas = [0.8 * kfs, kfs]
+    br = symmetric_discrete_branch(kappas, g, params)
+    for kappa, pt in zip(kappas, br.points):
+        u0 = soliton(mu_from_kappa_sym(kappa, params), P).sample(g)
+        fp = roothan_solve(kappa, self_potential(u0), g, params, warm_start=u0, cache=cache)
+        assert fp.converged
+        X, Y, Z = evaluate_norms(fp.u_eq)
+        for got, want in [(pt.kappa, fp.kappa), (pt.mu, fp.mu), (pt.X, X), (pt.Y, Y), (pt.Z, Z)]:
+            assert got == pytest.approx(want, rel=1e-7)
+
+
+def test_discrete_soliton_solves_the_2d_grid_equation(coarse):
+    # the 1-D reduction is exact: its profile, constant in phi, solves the
+    # 2-D discrete mu-equation to roundoff
+    g, params, _ = coarse
+    kappa = 1.3 * critical_value_sym(mu_FS(P, D), params)
+    mu, v = discrete_soliton(kappa, params, g)
+    u = Field(g, np.repeat(v[:, None], g.n_phi, axis=1))
+    assert eqmu_residual(u, mu) <= 1e-12 * np.sqrt(u.norm_sq())
+    assert critical_value(u, mu) == pytest.approx(kappa, rel=1e-12)
+
+
+def test_symmetric_reference_failure_names_kappa(coarse, monkeypatch):
+    g, params, _ = coarse
+    monkeypatch.setattr(symmetric, "solve_banded", lambda lu, ab, b: np.full(b.shape, np.nan))
+    with pytest.raises(NonConvergenceError, match="kappa = 12.5"):
+        symmetric_discrete_branch([12.5], g, params)
 
 
 def test_continue_branch_rejects_bad_args(mini_branch, coarse):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ckn.errors import NormalizationError
-from ckn.eigensolver import SolverCache, q_norm
+from ckn import fixedpoint
+from ckn.errors import MonotonicityError, NormalizationError
+from ckn.eigensolver import EigenResult, SolverCache, q_norm
 from ckn.fixedpoint import (
     critical_value,
     eqmu_residual,
@@ -118,3 +119,18 @@ def test_bad_kappa_rejected(setup):
     _, V0, _ = soliton_start(g, 2.0)
     with pytest.raises(ValueError):
         roothan_solve(-1.0, V0, g, params)
+
+
+def test_rising_eigenvalue_raises_typed_error(monkeypatch):
+    params = ProblemParams(D, P, 1.0, "surface")
+    g = build_grid(8.0, 48, 10, params)
+    kappa, V0, u = soliton_start(g, 2.0)
+    unit = Field(g, u.values / np.sqrt(u.norm_sq()))
+    lams = iter([-2.0, -1.0])
+
+    def rising(kappa, V, grid, **kwargs):
+        return EigenResult(lam=next(lams), u=unit, iterations=1, residual=0.0)
+
+    monkeypatch.setattr(fixedpoint, "lowest_eigenpair", rising)
+    with pytest.raises(MonotonicityError, match="increased"):
+        roothan_solve(kappa, V0, g, params)

@@ -4,9 +4,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ckn import cli
+from ckn import cli, continuation
 from ckn.continuation import asymmetry
-from ckn.errors import CheckpointError, ConfigError
+from ckn.errors import CheckpointError, ConfigError, NonConvergenceError
 from ckn.io import (
     FieldStore,
     RunConfig,
@@ -261,6 +261,35 @@ def test_cli_solver_error_exit_code(tmp_path):
     # solution, which the branch command reports as a solver failure
     cfg = _tiny_config(tmp_path, mu0_factor=0.9)
     assert cli.main(["branch", "--config", str(cfg)]) == 3
+
+
+def test_cli_branch_stall_keeps_partial_results(tmp_path, monkeypatch):
+    # every solve above the initial point fails, so the up walk stalls
+    real = continuation.roothan_solve
+    seen = []
+
+    def failing_up(kappa, *args, **kwargs):
+        if seen and kappa > seen[0]:
+            raise NonConvergenceError(f"forced failure at kappa = {kappa}")
+        seen.append(kappa)
+        return real(kappa, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "roothan_solve", failing_up)
+    cfg = _tiny_config(tmp_path)
+    assert cli.main(["branch", "--config", str(cfg)]) == 3
+    out = tmp_path / "out"
+    _, header, rows = read_csv(out / "branch.csv")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "stalled" in manifest["stopped"]
+    assert manifest["convergence"]["points_up"] == 1
+    assert manifest["convergence"]["points_down"] == len(rows)
+    kappas = [r[0] for r in rows]
+    assert np.all(np.diff(kappas) > 0)
+    assert kappas[-1] == pytest.approx(seen[0], rel=1e-12)
+    store = FieldStore(out / "checkpoints")
+    i_cp, i_asym = header.index("checkpoint"), header.index("asymmetry")
+    for row in rows:
+        assert asymmetry(store.load(row[i_cp])) == pytest.approx(row[i_asym], abs=1e-12)
 
 
 def test_cli_reproduce_figures_smoke(tmp_path):
