@@ -116,13 +116,14 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
         header.append(f"Lambda_{_theta_tag(theta)}")
     for theta in config.theta_list:
         header.append(f"J_{_theta_tag(theta)}")
-    header += ["t", "asymmetry", "checkpoint"]
+    header += ["residual", "gap", "t", "asymmetry", "checkpoint"]
     rows = []
     for pt in branch.points:
         vals = [analysis.curve_values(theta, pt.mu, pt.X, pt.Y, pt.Z, config.p)
                 for theta in config.theta_list]
         rows.append([pt.kappa, pt.mu] + [float(lam) for lam, _ in vals]
-                    + [float(J) for _, J in vals] + [pt.t, pt.asymmetry, pt.field_ref])
+                    + [float(J) for _, J in vals]
+                    + [pt.residual, pt.gap, pt.t, pt.asymmetry, pt.field_ref])
     path = out / "branch.csv"
     io.write_csv(path, io.config_echo(config), header, rows)
 
@@ -133,6 +134,8 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
         "convergence": {
             "eta": eta,
             "eta_halvings": sum(w.provenance["halvings"] for w in walks),
+            "halving_reasons": [dict(r, direction=w.provenance["direction"])
+                                for w in walks for r in w.provenance["halving_reasons"]],
             "points_down": n_points.get("down", 0),
             "points_up": n_points.get("up", 0),
             "kappa_range": [branch.points[0].kappa, branch.points[-1].kappa],

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CknError, StepFailureError, SymmetricFallbackError
 from .eigensolver import SolverCache, q_norm
-from .fixedpoint import FixedPointResult, roothan_solve, self_potential
+from .fixedpoint import FixedPointResult, eqmu_residual, roothan_solve, self_potential
 from .io import FieldStore
 from .model import CylinderGrid, Field, ProblemParams, evaluate_norms
 from .symmetric import critical_value_sym, discrete_soliton, mu_FS, soliton, transverse_mode
@@ -45,7 +45,12 @@ def asymmetry(u: Field) -> float:
 
 @dataclass
 class BranchPoint:
-    """One converged critical point, stored by value plus a checkpoint id."""
+    """One converged critical point, stored by value plus a checkpoint id.
+
+    Its certificate is `residual`, the eqmu_residual of the stored field at
+    mu, and `gap`, the fixed point's final self-consistency gap (nan for a
+    point not computed by the fixed point).
+    """
 
     kappa: float
     mu: float
@@ -55,6 +60,8 @@ class BranchPoint:
     t: float
     asymmetry: float
     field_ref: str = ""
+    residual: float = math.nan
+    gap: float = math.nan
 
 
 @dataclass
@@ -83,7 +90,7 @@ def _branch_point(fp: FixedPointResult, store: FieldStore) -> BranchPoint:
     cid = store.save(fp.u_eq)
     return BranchPoint(
         kappa=fp.kappa, mu=fp.mu, X=X, Y=Y, Z=Z, t=X / Y,
-        asymmetry=asymmetry(fp.u_eq), field_ref=cid,
+        asymmetry=asymmetry(fp.u_eq), field_ref=cid, residual=fp.residual, gap=fp.gap,
     )
 
 
@@ -96,7 +103,7 @@ def _symmetric_point(mu: float, grid: CylinderGrid, params: ProblemParams,
     cid = store.save(u)
     kappa = Z ** ((params.p - 2.0) / params.p)
     return BranchPoint(kappa=kappa, mu=mu, X=X, Y=Y, Z=Z, t=X / Y,
-                       asymmetry=0.0, field_ref=cid)
+                       asymmetry=0.0, field_ref=cid, residual=eqmu_residual(u, mu))
 
 
 class _SphereObjective:
@@ -242,13 +249,17 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     with closed-form symmetric points down to mu_min_factor * mu_FS;
     "up" walks until kappa_stop.  eta halves on a failed step (no
     convergence, mu <= 0, any CknError from the solver, or a jump past the
-    continuity guard) and recovers afterwards; below eta/64 the walk raises
+    continuity guard) and recovers afterwards; each halving appends
+    {"kappa", "reason"} (plus "du" and "bound" for the guard) to
+    provenance["halving_reasons"].  Below eta/64 the walk raises
     StepFailureError, whose `branch` holds the points collected so far.
 
-    The fixed-point budget per point is generous because the amplitude
-    mode slows down critically near the bifurcation; once kappa drops
-    below the closed-form bifurcation level the seed is symmetrized,
-    which removes that slow transient entirely.
+    The amplitude mode slows the plain fixed point down critically near
+    the bifurcation; the Anderson-mixed one in `roothan_solve` needs tens
+    of iterations there, so `fp_max_iter` is a cap on a failing solve, not
+    a budget for a slow one.  Once kappa drops below the closed-form
+    bifurcation level the seed is symmetrized, which removes the
+    asymmetric transient altogether.
     """
     if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction}")
@@ -271,7 +282,7 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
         u_warm = Field(grid, u_eq.values / nrm)
 
     points = [start]
-    halvings = 0
+    reasons: list[dict] = []
     kappa = start.kappa
     eta_cur = eta
     V_prev = u_prev = None
@@ -298,28 +309,35 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
             V0 = Field(grid, np.maximum(V0.values, 0.0))
             V0 = Field(grid, V0.values / q_norm(V0))
             u0 = _predict(u_warm, u_prev, ratio)
+        failure = None
         try:
             fp = roothan_solve(kappa_next, V0, grid, params, warm_start=u0,
                                cache=cache, tol=tol, max_iter=fp_max_iter)
-            ok = fp.converged and fp.mu_positive
-        except CknError:
-            fp, ok = None, False
-        if ok and not (crossing and asymmetry(fp.u) < ASYMMETRY_SYMMETRIC):
+            if not fp.converged:
+                failure = {"reason": "not converged"}
+            elif not fp.mu_positive:
+                failure = {"reason": "mu <= 0"}
+        except CknError as exc:
+            failure = {"reason": type(exc).__name__}
+        if failure is None and not (crossing and asymmetry(fp.u) < ASYMMETRY_SYMMETRIC):
             # continuity guard against the nominal step: halving the actual
             # step shrinks du until the bound is met.  The guard is waived
             # for the bifurcation crossing, where dropping the asymmetric
             # component is the expected jump.
             du = math.sqrt(Field(grid, fp.u.values - u_warm.values).norm_sq())
-            ok = du <= 5.0 * eta / max(kappa_next, 1e-12) + 1e-8
-        if not ok:
+            bound = 5.0 * eta / max(kappa_next, 1e-12) + 1e-8
+            if du > bound:
+                failure = {"reason": "continuity guard", "du": du, "bound": bound}
+        if failure is not None:
+            reasons.append({"kappa": kappa_next, **failure})
             eta_cur *= 0.5
-            halvings += 1
             if eta_cur < eta_min:
                 reason = (f"continuation stalled at kappa = {kappa:.6g} "
                           f"(step fell below {eta_min:.3g})")
                 partial = Branch(
                     params=params, points=sorted(points, key=lambda pt: pt.kappa),
-                    provenance={"direction": direction, "eta": eta, "halvings": halvings},
+                    provenance={"direction": direction, "eta": eta, "halvings": len(reasons),
+                                "halving_reasons": reasons},
                     store_dir=str(store.dir))
                 raise StepFailureError(reason, partial)
             continue
@@ -349,7 +367,8 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     ordered = sorted(points, key=lambda pt: pt.kappa)
     prov = {
         "direction": direction, "eta": eta, "kappa_stop": kappa_stop,
-        "halvings": halvings, "start_kappa": start.kappa, "start_mu": start.mu,
+        "halvings": len(reasons), "halving_reasons": reasons,
+        "start_kappa": start.kappa, "start_mu": start.mu,
         "terminal_mu": terminal.mu, "terminal_asymmetry": terminal.asymmetry,
         "computed_points": n_computed,
     }

@@ -101,16 +101,21 @@ class SolverCache:
 
     def __init__(self):
         self._factor = None
-        self._grid = None
+        self._op = None
+        self._shift = None
 
     def preconditioner(self, op: CylinderOperator, shift: float, rebuild: bool = False):
-        if rebuild or self._factor is None or self._grid is not op.grid:
+        if rebuild or self._factor is None or self._op.grid is not op.grid:
             self._factor = splu(
                 op.matrix(shift), permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0, options={"SymmetricMode": True},
             )
-            self._grid = op.grid
+            self._op, self._shift = op, shift
         return self._factor.solve
+
+    def built_for(self, op: CylinderOperator, shift: float) -> bool:
+        """Whether the factor in hand was built for this operator and shift."""
+        return self._factor is not None and self._op is op and self._shift == shift
 
     def invalidate(self):
         self._factor = None
@@ -120,53 +125,61 @@ def _pcg(op: CylinderOperator, shift: float, rhs: np.ndarray, x0: np.ndarray,
          rtol: float, max_iter: int, precond):
     """Preconditioned CG for (B - shift I) x = rhs.
 
-    Returns (x, converged).  x is None when the shifted matrix is detected
-    indefinite so the caller can lower the shift; converged False means
-    the iteration budget ran out.
+    Returns (x, status).  status is "converged", "budget" when the
+    iteration budget ran out, "indefinite" when a direction with
+    p.(B - shift I)p <= 0 proves the shifted matrix indefinite, or
+    "preconditioner" when r.z <= 0 shows the factor is not positive
+    definite; x is None for the last two.
     """
     x = x0.copy()
     r = rhs - (op.matvec(x) - shift * x)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
-        return x, True
+        return x, "converged"
     z = precond(r)
     pvec = z.copy()
     rz = float(r @ z)
     if rz <= 0.0:
-        return None, False
+        return None, "preconditioner"
     for _ in range(max_iter):
         if np.linalg.norm(r) <= rtol * bnorm:
-            return x, True
+            return x, "converged"
         Ap = op.matvec(pvec) - shift * pvec
         pAp = float(pvec @ Ap)
         if pAp <= 0.0:
-            return None, False
+            return None, "indefinite"
         alpha = rz / pAp
         x += alpha * pvec
         r -= alpha * Ap
         z = precond(r)
         rz_new = float(r @ z)
         if rz_new <= 0.0:
-            return None, False
+            return None, "preconditioner"
         pvec = z + (rz_new / rz) * pvec
         rz = rz_new
-    return x, False
+    return x, "budget"
 
 
 def _inner_solve(op: CylinderOperator, shift: float, rhs: np.ndarray, x0: np.ndarray,
                  rtol: float, cache: SolverCache):
     """Solve (B - shift I) x = rhs; None when the shifted matrix is indefinite.
 
-    A failure with the cached factor may stem from its being stale (built
-    for an earlier operator), so it is retried once with a fresh factor.
+    A failure with a stale cached factor (built for an earlier operator or
+    shift) is retried once with a fresh factor.  There is no retry when CG
+    proved the shifted matrix indefinite or the factor is already this
+    matrix's: a fresh factor would change nothing, so that is None at once.
     """
-    x, ok = _pcg(op, shift, rhs, x0, rtol, 200, cache.preconditioner(op, shift))
-    if ok:
+    x, status = _pcg(op, shift, rhs, x0, rtol, 200, cache.preconditioner(op, shift))
+    if status == "converged":
         return x
-    x, ok = _pcg(op, shift, rhs, x0 if x is None else x, rtol, 200,
-                 cache.preconditioner(op, shift, rebuild=True))
-    if ok or x is None:
+    if status == "indefinite" or cache.built_for(op, shift):
+        return None
+    x, status = _pcg(op, shift, rhs, x0 if x is None else x, rtol, 200,
+                     cache.preconditioner(op, shift, rebuild=True))
+    if status == "converged":
         return x
+    if status != "budget":
+        return None
     raise NonConvergenceError("inner CG stalled even with a fresh factorization")
 
 

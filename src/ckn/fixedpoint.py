@@ -1,10 +1,25 @@
 """Alternating eigen-solve / potential-update iteration at fixed kappa.
 
-Each step solves for the ground state of -Laplace - kappa V, then replaces
-V by |u|^(p-2) / ||u||_p^(p-2).  The eigenvalue sequence is non-increasing
-(the update maximizes the potential energy over unit q-norm potentials),
-which is checked at runtime (MonotonicityError).  At convergence
-mu = -lambda and the rescaled iterate solves -Laplace u + mu u = u^(p-1).
+Each step solves for the ground state u of -Laplace - kappa V; the plain
+update replaces V by self_potential(u) = |u|^(p-2) / ||u||_p^(p-2), which
+maximizes the potential energy over unit q-norm potentials, so the
+eigenvalue sequence cannot rise.  At convergence mu = -lambda and the
+rescaled iterate solves -Laplace u + mu u = u^(p-1).
+
+Near the bifurcation the plain update slows down critically, so the loop
+mixes it (Anderson type II on F = self_potential(u) - V, at most
+ANDERSON_DEPTH secant pairs, least squares weighted by the quadrature,
+clipped at 0 and renormalized).  Safeguard: a mixed candidate is kept only
+if its eigenvalue does not exceed the last accepted one (by more than the
+roundoff allowance MONOTONE_SLACK that the plain step has too); otherwise
+the history is dropped and the plain step is taken from the same warm
+start.  Rejected candidates never enter `lambda_history`, and a rising
+plain step raises MonotonicityError.  The inner eigensolves run at
+max(eigen_tol, min(INEXACT_CAP, INEXACT_FACTOR * gap)), gap being the
+previous self-consistency gap, and convergence is declared only after a
+solve at the full eigen_tol.  Monotonicity survives the inexact solves
+because R(u; self_potential(u)) <= R(u; V) holds for any u, exact
+eigenvector or not.
 """
 
 from __future__ import annotations
@@ -19,6 +34,9 @@ from .eigensolver import SolverCache, lowest_eigenpair, q_norm
 
 MONOTONE_SLACK = 1e-12
 SELF_CONSISTENCY_TOL = 1e-8
+ANDERSON_DEPTH = 5
+INEXACT_FACTOR = 0.1
+INEXACT_CAP = 1e-4
 
 
 def self_potential(u: Field) -> Field:
@@ -75,20 +93,33 @@ class FixedPointResult:
     converged: bool
     mu_positive: bool
     iterations: int
-    eigen_iterations: int = 0
+    eigen_iterations: int
+    residual: float
+    gap: float
+
+
+def _anderson(V_self: Field, F: np.ndarray, dV: list, dF: list, sqrt_w: np.ndarray) -> Field:
+    """Type-II Anderson candidate V + F - (dV + dF) gamma, gamma the weighted
+    least-squares fit of F by the residual differences; clipped at 0 and
+    renormalized to unit q-norm."""
+    A = np.column_stack([(sqrt_w * d).ravel() for d in dF])
+    gamma = np.linalg.lstsq(A, (sqrt_w * F).ravel(), rcond=None)[0]
+    step = sum(c * (a + b) for c, a, b in zip(gamma, dV, dF))
+    cand = Field(V_self.grid, np.maximum(V_self.values - step, 0.0))
+    return Field(cand.grid, cand.values / q_norm(cand))
 
 
 def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemParams,
                   max_iter: int = 200, tol: float = 1e-10,
                   warm_start: Field | None = None,
                   eigen_tol: float = 1e-9, cache: SolverCache | None = None) -> FixedPointResult:
-    """Iterate eigen-solve and potential update to a critical point.
+    """Iterate eigen-solve and (mixed) potential update to a critical point.
 
-    Convergence needs both a relative eigenvalue increment below `tol` and
-    a potential increment below sqrt(tol) in q-norm; iterations continue
-    until the converged potential is self-consistent to 1e-8.  A result
-    with mu = -lambda <= 0 is returned but flagged unusable for branch
-    points (solutions of the mu-equation need mu > 0 to decay).
+    Convergence needs a relative eigenvalue increment below `tol`, a
+    self-consistency gap ||self_potential(u) - V||_q below sqrt(tol) and
+    SELF_CONSISTENCY_TOL, and an eigensolve at the full `eigen_tol`.  A
+    result with mu = -lambda <= 0 is returned but flagged unusable for
+    branch points (solutions of the mu-equation need mu > 0 to decay).
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -98,15 +129,30 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
     if cache is None:
         cache = SolverCache()
 
+    sqrt_w = np.sqrt(grid.weights)
     V = V0
+    V_self = None  # plain step from the last accepted iterate
+    last = None  # (V, F) of the last accepted iterate
+    dVs: list[np.ndarray] = []
+    dFs: list[np.ndarray] = []
     u_prev = warm_start
     history: list[float] = []
     eig_total = 0
+    gap = np.inf
     converged = False
     res = None
     for _ in range(max_iter):
-        res = lowest_eigenpair(kappa, V, grid, tol=eigen_tol, warm_start=u_prev, cache=cache)
+        eig_tol = max(eigen_tol, min(INEXACT_CAP, INEXACT_FACTOR * gap))
+        res = lowest_eigenpair(kappa, V, grid, tol=eig_tol, warm_start=u_prev, cache=cache)
         eig_total += res.iterations
+        if history and res.lam > history[-1] + MONOTONE_SLACK and V is not V_self:
+            # the mixed candidate raised the eigenvalue: forget the secants
+            # and take the plain step, which cannot
+            dVs.clear()
+            dFs.clear()
+            V = V_self
+            res = lowest_eigenpair(kappa, V, grid, tol=eig_tol, warm_start=u_prev, cache=cache)
+            eig_total += res.iterations
         lam = res.lam
         if history and lam > history[-1] + MONOTONE_SLACK:
             raise MonotonicityError(
@@ -116,12 +162,19 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
         u_prev = res.u
 
         V_self = self_potential(res.u)
-        dV = q_norm(Field(grid, V_self.values - V.values))
+        F = V_self.values - V.values
+        gap = q_norm(Field(grid, F))
         dlam = abs(history[-1] - history[-2]) if len(history) > 1 else np.inf
-        if dlam <= tol * (1.0 + abs(lam)) and dV <= np.sqrt(tol) and dV <= SELF_CONSISTENCY_TOL:
+        if (eig_tol <= eigen_tol and dlam <= tol * (1.0 + abs(lam))
+                and gap <= np.sqrt(tol) and gap <= SELF_CONSISTENCY_TOL):
             converged = True
             break
-        V = V_self
+        if last is not None:
+            dVs.append(V.values - last[0])
+            dFs.append(F - last[1])
+            del dVs[:-ANDERSON_DEPTH], dFs[:-ANDERSON_DEPTH]
+        last = (V.values, F)
+        V = _anderson(V_self, F, dVs, dFs, sqrt_w) if dVs else V_self
 
     if res is None:
         raise NonConvergenceError("roothan_solve made no iterations")
@@ -138,4 +191,5 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
         kappa=kappa, mu=mu, u=res.u, u_eq=u_eq, V=V,
         lambda_history=hist, converged=converged, mu_positive=mu > 0,
         iterations=len(history), eigen_iterations=eig_total,
+        residual=eqmu_residual(u_eq, mu), gap=gap,
     )

@@ -10,6 +10,7 @@ from ckn.continuation import (
     symmetric_discrete_branch,
 )
 from ckn.eigensolver import SolverCache
+from ckn.gn import radial_ground_state
 from ckn.io import FieldStore
 from ckn.model import ProblemParams, build_grid
 from ckn.symmetric import critical_value_sym, mu_FS
@@ -70,3 +71,9 @@ def run_p27(tmp_path_factory):
     run = _run_branch(2.7, 5, L=8.0, n_s=240, n_phi=28, tmp=tmp,
                       eta_up_factor=8.0, kappa_stop_factor=2.6)
     return _add_symmetric_reference(run)
+
+
+@pytest.fixture(scope="session")
+def gn_profile_p28():
+    """Radial Gagliardo-Nirenberg ground state at p = 2.8, d = 5 (one shoot)."""
+    return radial_ground_state(2.8, 5)

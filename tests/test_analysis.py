@@ -12,7 +12,7 @@ from ckn.analysis import (
     symmetric_theta_curve,
 )
 from ckn.errors import AmbiguousCrossingError
-from ckn.gn import J_infinity, radial_ground_state
+from ckn.gn import J_infinity
 from ckn.model import ProblemParams, build_grid, evaluate_Q, theta_critical
 from ckn.symmetric import J_sym_theta, mu_FS, soliton_norms
 
@@ -169,8 +169,8 @@ def test_symmetric_theta_curve_builder():
 
 
 @pytest.fixture(scope="module")
-def j_inf_pair():
-    pr = radial_ground_state(P, D)
+def j_inf_pair(gn_profile_p28):
+    pr = gn_profile_p28
     return (J_infinity(P, D, "surface", pr), J_infinity(P, D, "probability", pr))
 
 

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from ckn import eigensolver
 from ckn.errors import NormalizationError
-from ckn.eigensolver import CylinderOperator, SolverCache, lowest_eigenpair, q_norm
+from ckn.eigensolver import (
+    CG_RTOL,
+    CylinderOperator,
+    SolverCache,
+    _inner_solve,
+    lowest_eigenpair,
+    q_norm,
+)
 from ckn.fixedpoint import self_potential
 from ckn.model import Field, ProblemParams, build_grid, dirichlet_energy
 from ckn.symmetric import mu_FS, soliton
@@ -160,3 +168,32 @@ def test_restrict_embed_roundtrip():
     np.testing.assert_array_equal(g.restrict(full), vec)
     assert np.all(full[0] == 0) and np.all(full[-1] == 0)
     np.testing.assert_array_equal(full[:, 0], full[:, 1])
+
+
+@pytest.mark.parametrize("stale", [False, True])
+def test_indefinite_shift_factors_once(monkeypatch, stale):
+    # a shift above the lowest eigenvalue makes B - shift I indefinite; a
+    # fresh factor cannot change that, so none is built for a retry
+    params = ProblemParams(D, P, 1.0, "surface")
+    g = build_grid(8.0, 48, 10, params)
+    u = soliton(2.0, P).sample(g)
+    kappa = float(g.integrate(np.abs(u.values) ** P) ** ((P - 2.0) / P))
+    V = self_potential(u)
+    res = lowest_eigenpair(kappa, V, g)
+    op = CylinderOperator(kappa, V, g)
+    y = op.from_field(res.u)
+    y /= np.linalg.norm(y)
+    cache = SolverCache()
+    if stale:
+        # factor at a safe shift: CG then proves the indefiniteness itself
+        assert _inner_solve(op, res.lam - 1.0, y, y, CG_RTOL, cache) is not None
+    calls = []
+    real = eigensolver.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "splu", counting)
+    assert _inner_solve(op, res.lam + 0.5, y, y, CG_RTOL, cache) is None
+    assert len(calls) == (0 if stale else 1)

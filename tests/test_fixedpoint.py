@@ -12,7 +12,7 @@ from ckn.fixedpoint import (
     self_potential,
 )
 from ckn.model import Field, ProblemParams, build_grid, evaluate_Q, evaluate_norms
-from ckn.symmetric import mu_FS, soliton
+from ckn.symmetric import critical_value_sym, discrete_soliton, mu_FS, soliton
 
 P, D = 2.8, 5
 
@@ -134,3 +134,74 @@ def test_rising_eigenvalue_raises_typed_error(monkeypatch):
     monkeypatch.setattr(fixedpoint, "lowest_eigenpair", rising)
     with pytest.raises(MonotonicityError, match="increased"):
         roothan_solve(kappa, V0, g, params)
+
+
+def asymmetric_start(kappa_factor, n_s=64, n_phi=10):
+    """Small grid, kappa = kappa_factor * kappa_FS, and the discrete symmetric
+    potential tilted by a cos(phi) bump, so the slow amplitude mode is excited."""
+    params = ProblemParams(D, P, 1.0, "surface")
+    g = build_grid(8.0, n_s, n_phi, params)
+    kappa = kappa_factor * critical_value_sym(mu_FS(P, D), params)
+    mu_sym, v = discrete_soliton(kappa, params, g)
+    V = self_potential(Field(g, np.repeat(v[:, None], g.n_phi, axis=1))).values
+    V = V * (1.0 + 0.3 * np.cos(g.phi)[None, :] * np.exp(-g.s**2)[:, None])
+    V0 = Field(g, V)
+    return g, params, kappa, Field(g, V / q_norm(V0)), mu_sym
+
+
+def test_rejected_candidates_never_enter_history(monkeypatch):
+    # every mixed candidate reports a higher eigenvalue, so the safeguard
+    # must fall back to the plain step each time
+    g, params, kappa, V0, mu_sym = asymmetric_start(0.9)
+    real = fixedpoint.lowest_eigenpair
+    rejected, iterations = [], []
+
+    def raise_mixed(kappa, V, grid, warm_start=None, **kwargs):
+        res = real(kappa, V, grid, warm_start=warm_start, **kwargs)
+        iterations.append(res.iterations)
+        plain = warm_start is None or np.array_equal(V.values, self_potential(warm_start).values)
+        if plain:
+            return res
+        rejected.append(res.lam + 1.0)
+        return EigenResult(lam=rejected[-1], u=res.u, iterations=res.iterations,
+                           residual=res.residual)
+
+    monkeypatch.setattr(fixedpoint, "lowest_eigenpair", raise_mixed)
+    fp = roothan_solve(kappa, V0, g, params, max_iter=400)
+    assert rejected
+    assert fp.converged
+    assert fp.mu == pytest.approx(mu_sym, rel=1e-9)
+    hist = fp.lambda_history
+    assert np.all(np.diff(hist) <= fixedpoint.MONOTONE_SLACK)
+    assert not set(rejected) & set(hist)
+    assert fp.iterations == len(hist) == len(iterations) - len(rejected)
+    assert fp.eigen_iterations == sum(iterations)
+
+
+def test_matches_discrete_soliton_below_bifurcation():
+    # below kappa_FS the only critical point is the symmetric one, which the
+    # exact 1-D reduction computes independently of the fixed point
+    g, params, kappa, V0, mu_sym = asymmetric_start(0.9)
+    fp = roothan_solve(kappa, V0, g, params)
+    assert fp.converged
+    assert fp.mu == pytest.approx(mu_sym, rel=1e-9)
+
+
+def test_near_bifurcation_iteration_count():
+    # the plain iteration needs 429 steps here: the amplitude mode
+    # contracts at a rate close to 1 next to the bifurcation
+    g, params, kappa, V0, mu_sym = asymmetric_start(0.97)
+    fp = roothan_solve(kappa, V0, g, params)
+    assert fp.converged
+    assert fp.iterations <= 40
+    assert fp.mu == pytest.approx(mu_sym, rel=1e-9)
+
+
+def test_result_carries_certificate(setup):
+    g, params, cache = setup
+    kappa, V0, u = soliton_start(g, 2.0)
+    fp = roothan_solve(kappa, V0, g, params, warm_start=u, cache=cache)
+    assert fp.residual == eqmu_residual(fp.u_eq, fp.mu)
+    assert fp.gap == pytest.approx(
+        q_norm(Field(g, self_potential(fp.u).values - fp.V.values)), rel=1e-12)
+    assert fp.gap <= fixedpoint.SELF_CONSISTENCY_TOL

@@ -7,9 +7,9 @@ from ckn.model import sphere_area
 P, D = 2.8, 5
 
 
-@pytest.fixture(scope="module")
-def profile():
-    return radial_ground_state(P, D)
+@pytest.fixture()
+def profile(gn_profile_p28):
+    return gn_profile_p28
 
 
 def test_one_dimensional_reduction():
@@ -33,10 +33,10 @@ def test_profile_shape(profile):
     assert profile.u[-1] <= 1e-6 * profile.u0
 
 
-def test_shooting_dichotomy():
+def test_shooting_dichotomy(profile):
     from ckn.gn import _shoot
 
-    a = profile_u0 = radial_ground_state(P, D).u0
+    a = profile.u0
     sign_hi, _ = _shoot(1.05 * a, P, D)
     sign_lo, _ = _shoot(0.95 * a, P, D)
     assert sign_hi == 1  # overshoot above critical

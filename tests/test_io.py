@@ -7,6 +7,7 @@ import pytest
 from ckn import cli, continuation
 from ckn.continuation import asymmetry
 from ckn.errors import CheckpointError, ConfigError, NonConvergenceError
+from ckn.fixedpoint import SELF_CONSISTENCY_TOL, eqmu_residual
 from ckn.io import (
     FieldStore,
     RunConfig,
@@ -206,6 +207,25 @@ def test_cli_branch_outputs(cli_branch_run):
     assert u.values.shape == (96, 12)
 
 
+def test_cli_branch_certificates(cli_branch_run):
+    # computed rows carry the residual of their stored field and the fixed
+    # point's self-consistency gap; closed-form extension rows have no gap
+    rc, out, _ = cli_branch_run
+    assert rc == 0
+    _, header, rows = read_csv(out / "branch.csv")
+    i_mu, i_cp = header.index("mu"), header.index("checkpoint")
+    i_res, i_gap = header.index("residual"), header.index("gap")
+    store = FieldStore(out / "checkpoints")
+    computed = [r for r in rows if np.isfinite(r[i_gap])]
+    assert 0 < len(computed) < len(rows)
+    for row in computed:
+        assert row[i_res] == eqmu_residual(store.load(row[i_cp]), row[i_mu])
+        assert row[i_gap] <= SELF_CONSISTENCY_TOL
+    for row in rows:
+        if not np.isfinite(row[i_gap]):
+            assert row[i_res] == eqmu_residual(store.load(row[i_cp]), row[i_mu])
+
+
 def test_cli_analyze_outputs(cli_branch_run):
     rc, out, cfg = cli_branch_run
     assert rc == 0
@@ -282,6 +302,13 @@ def test_cli_branch_stall_keeps_partial_results(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "stalled" in manifest["stopped"]
     assert manifest["convergence"]["points_up"] == 1
+    # one reason per halving; the up walk halves until eta fell below eta/64
+    reasons = manifest["convergence"]["halving_reasons"]
+    assert len(reasons) == manifest["convergence"]["eta_halvings"]
+    up = [r for r in reasons if r["direction"] == "up"]
+    assert len(up) == 7
+    assert all(r["reason"] == "NonConvergenceError" and r["kappa"] > seen[0] for r in up)
+    assert [r["kappa"] for r in up] == sorted(r["kappa"] for r in up)[::-1]
     assert manifest["convergence"]["points_down"] == len(rows)
     kappas = [r[0] for r in rows]
     assert np.all(np.diff(kappas) > 0)
