@@ -51,7 +51,6 @@ from .model import (
 from .symmetric import (
     SymmetricSolution,
     critical_value_sym,
-    descent_direction,
     lambda1_H,
     mu_FS,
     soliton,

@@ -116,14 +116,16 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
         header.append(f"Lambda_{_theta_tag(theta)}")
     for theta in config.theta_list:
         header.append(f"J_{_theta_tag(theta)}")
-    header += ["residual", "gap", "t", "asymmetry", "checkpoint"]
+    header += ["residual", "gap", "iterations", "eigen_iterations", "t", "asymmetry",
+               "checkpoint"]
     rows = []
     for pt in branch.points:
         vals = [analysis.curve_values(theta, pt.mu, pt.X, pt.Y, pt.Z, config.p)
                 for theta in config.theta_list]
         rows.append([pt.kappa, pt.mu] + [float(lam) for lam, _ in vals]
                     + [float(J) for _, J in vals]
-                    + [pt.residual, pt.gap, pt.t, pt.asymmetry, pt.field_ref])
+                    + [pt.residual, pt.gap, pt.iterations, pt.eigen_iterations,
+                       pt.t, pt.asymmetry, pt.field_ref])
     path = out / "branch.csv"
     io.write_csv(path, io.config_echo(config), header, rows)
 

@@ -48,8 +48,9 @@ class BranchPoint:
     """One converged critical point, stored by value plus a checkpoint id.
 
     Its certificate is `residual`, the eqmu_residual of the stored field at
-    mu, and `gap`, the fixed point's final self-consistency gap (nan for a
-    point not computed by the fixed point).
+    mu, and `gap`, the fixed point's final self-consistency gap.  `gap`,
+    `iterations` and `eigen_iterations` (the fixed point's work counters)
+    are nan for a point not computed by the fixed point.
     """
 
     kappa: float
@@ -62,6 +63,8 @@ class BranchPoint:
     field_ref: str = ""
     residual: float = math.nan
     gap: float = math.nan
+    iterations: float = math.nan
+    eigen_iterations: float = math.nan
 
 
 @dataclass
@@ -91,6 +94,7 @@ def _branch_point(fp: FixedPointResult, store: FieldStore) -> BranchPoint:
     return BranchPoint(
         kappa=fp.kappa, mu=fp.mu, X=X, Y=Y, Z=Z, t=X / Y,
         asymmetry=asymmetry(fp.u_eq), field_ref=cid, residual=fp.residual, gap=fp.gap,
+        iterations=fp.iterations, eigen_iterations=fp.eigen_iterations,
     )
 
 

@@ -21,10 +21,6 @@ class PositivityError(CknError):
     """A computed ground state violated sign-definiteness."""
 
 
-class SymmetricStableError(CknError):
-    """No descent direction exists: the symmetric solution is locally stable."""
-
-
 class SymmetricFallbackError(CknError):
     """A saddle descent returned to the symmetric solution."""
 

@@ -39,11 +39,7 @@ def theta_critical(p: float, d: int) -> float:
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Dimension, exponent and measure convention defining one problem.
-
-    Derived constants (theta_critical, q, a_c, p_star) are exposed as
-    properties so a params object is the single source for all of them.
-    """
+    """Dimension, exponent and measure convention defining one problem."""
 
     d: int
     p: float
@@ -66,21 +62,9 @@ class ProblemParams:
             raise ValueError(f"measure_mode must be one of {MEASURE_MODES}")
 
     @property
-    def theta_min(self) -> float:
-        return theta_critical(self.p, self.d)
-
-    @property
     def q(self) -> float:
         """Dual exponent p/(p-2) normalizing the potentials."""
         return self.p / (self.p - 2.0)
-
-    @property
-    def a_c(self) -> float:
-        return (self.d - 2.0) / 2.0
-
-    def p_star(self, theta: float | None = None) -> float:
-        th = self.theta if theta is None else theta
-        return 2.0 * self.d / (self.d - 2.0 * th)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,20 +221,8 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    @classmethod
-    def from_function(cls, grid: CylinderGrid, fn) -> "Field":
-        return cls(grid, fn(grid.s[:, None], grid.phi[None, :]))
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     def norm_sq(self) -> float:
         return self.grid.integrate(self.values**2)
-
-    def __mul__(self, c: float) -> "Field":
-        return Field(self.grid, self.values * c)
-
-    __rmul__ = __mul__
 
 
 def dirichlet_energy(u: Field) -> float:

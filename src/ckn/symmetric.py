@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import NonConvergenceError, SymmetricStableError
+from .errors import NonConvergenceError
 from .model import CylinderGrid, Field, ProblemParams, sphere_area
 
 
@@ -192,21 +192,6 @@ def transverse_mode(mu: float, params: ProblemParams, grid: CylinderGrid):
     w = Field(grid, phi1[:, None] * np.cos(grid.phi)[None, :])
     nrm = math.sqrt(w.norm_sq())
     return lam1, Field(grid, w.values / nrm)
-
-
-def descent_direction(mu: float, params: ProblemParams, grid: CylinderGrid) -> Field:
-    """Unit-norm direction along which the soliton is a saddle (mu > mu_FS).
-
-    Raises SymmetricStableError when the transverse linearization has no
-    negative eigenvalue, i.e. when mu <= mu_FS.
-    """
-    lam1, w = transverse_mode(mu, params, grid)
-    if lam1 >= 0:
-        raise SymmetricStableError(
-            f"transverse eigenvalue {lam1:.6g} is nonnegative: "
-            f"mu = {mu} does not exceed mu_FS = {mu_FS(params.p, params.d):.6g}"
-        )
-    return w
 
 
 def discrete_soliton(kappa: float, params: ProblemParams, grid: CylinderGrid):

@@ -75,5 +75,5 @@ def run_p27(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def gn_profile_p28():
-    """Radial Gagliardo-Nirenberg ground state at p = 2.8, d = 5 (one shoot)."""
+    """Radial Gagliardo-Nirenberg ground state at p = 2.8, d = 5 (one solve)."""
     return radial_ground_state(2.8, 5)

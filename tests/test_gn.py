@@ -33,14 +33,36 @@ def test_profile_shape(profile):
     assert profile.u[-1] <= 1e-6 * profile.u0
 
 
-def test_shooting_dichotomy(profile):
-    from ckn.gn import _shoot
+def test_newton_certificate(profile):
+    # re-solve on the profile's own mesh and check the finite-volume
+    # equations, written out here independently of the solver
+    from ckn.gn import _solve
 
-    a = profile.u0
-    sign_hi, _ = _shoot(1.05 * a, P, D)
-    sign_lo, _ = _shoot(0.95 * a, P, D)
-    assert sign_hi == 1  # overshoot above critical
-    assert sign_lo == -1  # undershoot below
+    n = len(profile.r) - 1
+    h = profile.r[-1] / n
+    u, (X, Y, Z) = _solve(profile.u[:-1], P, D, profile.r[-1])
+    faces = (np.arange(n) + 0.5) * h
+    vol = np.diff(np.concatenate([[0.0], faces]) ** D) / D
+    flux = faces ** (D - 1) * np.diff(np.append(u, 0.0)) / h
+    res = np.concatenate([[0.0], flux[:-1]]) - flux + vol * (u - u ** (P - 1))
+    assert np.max(np.abs(res)) <= 1e-10 * np.max(vol * u ** (P - 1))
+    assert np.all(u > 0)
+    assert np.all(np.diff(u) <= 1e-12 * u[0])
+    assert X + Y == pytest.approx(Z, rel=1e-10)  # exact on the mesh
+    # one mesh alone misses Pohozaev by O(h^2); the extrapolated norms do not
+    th = 5.0 / 7.0
+    assert abs(X - th * Z) / Z > 1e-6
+    assert max(profile.pohozaev_residuals()) <= 1e-8
+
+
+@pytest.mark.parametrize("p, j_ref", [
+    (2.8, 7.719374786753006), (2.78, 7.4679887060691), (2.7, 6.496110621047179),
+    (3.3, 14.427632475900646)])
+def test_J_infinity_matches_shooting(p, j_ref):
+    # reference levels from adaptive RK45 shooting with bisection on u(0) to
+    # 1e-12; near the critical exponent 10/3 the peak narrows (u(0) = 159 at
+    # p = 3.3), which takes halved continuation steps and finer mesh pairs
+    assert J_infinity(p, D, "surface") == pytest.approx(j_ref, rel=1e-8)
 
 
 def test_supercritical_rejected():

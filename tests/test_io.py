@@ -208,22 +208,26 @@ def test_cli_branch_outputs(cli_branch_run):
 
 
 def test_cli_branch_certificates(cli_branch_run):
-    # computed rows carry the residual of their stored field and the fixed
-    # point's self-consistency gap; closed-form extension rows have no gap
+    # computed rows carry the residual of their stored field, the fixed
+    # point's self-consistency gap and its work counters; closed-form
+    # extension rows have no gap and no counters
     rc, out, _ = cli_branch_run
     assert rc == 0
     _, header, rows = read_csv(out / "branch.csv")
     i_mu, i_cp = header.index("mu"), header.index("checkpoint")
     i_res, i_gap = header.index("residual"), header.index("gap")
+    i_it, i_eig = header.index("iterations"), header.index("eigen_iterations")
     store = FieldStore(out / "checkpoints")
     computed = [r for r in rows if np.isfinite(r[i_gap])]
     assert 0 < len(computed) < len(rows)
     for row in computed:
         assert row[i_res] == eqmu_residual(store.load(row[i_cp]), row[i_mu])
         assert row[i_gap] <= SELF_CONSISTENCY_TOL
+        assert row[i_it] == int(row[i_it]) and 1 <= row[i_it] <= row[i_eig]
     for row in rows:
         if not np.isfinite(row[i_gap]):
             assert row[i_res] == eqmu_residual(store.load(row[i_cp]), row[i_mu])
+            assert np.isnan(row[i_it]) and np.isnan(row[i_eig])
 
 
 def test_cli_analyze_outputs(cli_branch_run):

@@ -3,12 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 from ckn.analysis import symmetric_theta_curve
-from ckn.errors import SymmetricStableError
 from ckn.model import ProblemParams, build_grid, evaluate_Q
 from ckn.symmetric import (
     J_sym_theta,
     critical_value_sym,
-    descent_direction,
     lambda1_H,
     lambda_sym_theta,
     mu_FS,
@@ -166,6 +164,9 @@ def test_transverse_eigenvalue_above_threshold(grid_surface):
     lam1, w = transverse_mode(mu, params, g)
     assert lam1 == pytest.approx(lambda1_H(mu, P, D), abs=1e-3)
     assert lam1 < 0
+    # the mode is normalized and odd in cos(phi): its angular average vanishes
+    assert w.norm_sq() == pytest.approx(1.0, rel=1e-12)
+    assert abs(g.integrate(w.values)) < 1e-12
 
 
 def test_transverse_mode_discretization_order():
@@ -179,19 +180,3 @@ def test_transverse_mode_discretization_order():
         errs.append(abs(lam1 - exact))
     order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert min(order) >= 1.8
-
-
-def test_descent_direction_properties(grid_surface):
-    g, params = grid_surface
-    mu = 1.2 * mu_FS(P, D)
-    w = descent_direction(mu, params, g)
-    assert w.norm_sq() == pytest.approx(1.0, rel=1e-12)
-    # odd in cos(phi): angular average vanishes
-    avg = g.integrate(w.values)
-    assert abs(avg) < 1e-12
-
-
-def test_descent_direction_raises_below_threshold(grid_surface):
-    g, params = grid_surface
-    with pytest.raises(SymmetricStableError):
-        descent_direction(0.9 * mu_FS(P, D), params, g)
