@@ -164,9 +164,6 @@ def test_transverse_eigenvalue_above_threshold(grid_surface):
     lam1, w = transverse_mode(mu, params, g)
     assert lam1 == pytest.approx(lambda1_H(mu, P, D), abs=1e-3)
     assert lam1 < 0
-    # the mode is normalized and odd in cos(phi): its angular average vanishes
-    assert w.norm_sq() == pytest.approx(1.0, rel=1e-12)
-    assert abs(g.integrate(w.values)) < 1e-12
 
 
 def test_transverse_mode_discretization_order():
@@ -180,3 +177,15 @@ def test_transverse_mode_discretization_order():
         errs.append(abs(lam1 - exact))
     order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert min(order) >= 1.8
+
+
+def test_descent_direction_properties(grid_surface):
+    # above threshold the transverse mode is the descent direction off the
+    # symmetric branch
+    g, params = grid_surface
+    mu = 1.2 * mu_FS(P, D)
+    _, w = transverse_mode(mu, params, g)
+    assert w.norm_sq() == pytest.approx(1.0, rel=1e-12)
+    # odd in cos(phi): angular average vanishes
+    avg = g.integrate(w.values)
+    assert abs(avg) < 1e-12
