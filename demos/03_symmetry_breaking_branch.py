@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Construct the first non-symmetric branch and watch the pitchfork.
 
-Above mu_FS the symmetric solution is a saddle: a descent along the
-transverse mode finds a genuinely non-symmetric critical point with lower
-energy, and stepping the critical level kappa walks the branch back to
-the bifurcation.  Takes a minute or two on the demo grid.
+Above mu_FS the symmetric solution is a saddle: moving it along the
+transverse mode to the quotient's minimum on that ray, then solving the
+fixed point at its closed-form level, gives a genuinely non-symmetric
+critical point with lower energy; stepping the critical level kappa walks
+the branch back to the bifurcation.  Takes about two seconds on the demo
+grid.
 """
 
 import tempfile

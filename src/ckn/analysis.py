@@ -156,8 +156,7 @@ def _seg_intersections(L1, J1, L2, J2):
     return hits
 
 
-def detect_crossing(sym: ThetaCurve, nonsym: ThetaCurve,
-                    exclude_bifurcation: bool = True) -> Crossing | None:
+def detect_crossing(sym: ThetaCurve, nonsym: ThetaCurve) -> Crossing | None:
     """Intersection of the symmetric and non-symmetric (Lambda, J) curves.
 
     Only genuinely non-symmetric points of `nonsym` participate, which
@@ -190,11 +189,10 @@ def detect_crossing(sym: ThetaCurve, nonsym: ThetaCurve,
                 mu1s = sym.mu[c + j] + t * (sym.mu[c + j + 1] - sym.mu[c + j])
                 candidates.append(Crossing(Lambda1=Lam1, J1=J1, mu1_star=mu1s, mu1=mu1))
 
-    if exclude_bifurcation:
-        # contacts at the bifurcation have nearly equal parameter preimages;
-        # a genuine coexistence crossing pairs two distinct solutions
-        candidates = [c for c in candidates
-                      if abs(c.mu1 - c.mu1_star) > 0.05 * max(abs(c.mu1), abs(c.mu1_star))]
+    # contacts at the bifurcation have nearly equal parameter preimages;
+    # a genuine coexistence crossing pairs two distinct solutions
+    candidates = [c for c in candidates
+                  if abs(c.mu1 - c.mu1_star) > 0.05 * max(abs(c.mu1), abs(c.mu1_star))]
 
     # polylines can duplicate a hit at shared segment endpoints
     unique: list[Crossing] = []

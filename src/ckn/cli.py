@@ -144,7 +144,8 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
         },
         "provenance": {
             "mu0": config.mu0_factor * mu_fs, "eps": config.eps,
-            "seed_direction": "transverse mode phi1(s) cos(phi)",
+            "seed_direction": ("ray minimum along the transverse mode phi1(s) cos(phi), "
+                               "solved at kappa_sym(mu0)"),
         },
         "stopped": None if stopped is None else str(stopped),
     })

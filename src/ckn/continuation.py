@@ -1,21 +1,20 @@
-"""Non-symmetric branch construction: saddle descent, then kappa stepping.
+"""Non-symmetric branch construction: a start point, then kappa stepping.
 
 Above the stability threshold the symmetric soliton is a saddle of the
-theta = 1 quotient.  `initialize` perturbs it along the transverse mode,
-runs a conjugate-gradient descent of the quotient on the unit L2 sphere,
-and polishes the limit with the fixed-point solver.  `continue_branch`
-then steps kappa in either direction, reusing the previous potential and
+theta = 1 quotient.  `initialize` moves it along the transverse mode to
+the minimum of the quotient on that ray and solves the fixed point from
+there at the soliton's own closed-form level.  `continue_branch` then
+steps kappa in either direction, reusing the previous potential and
 eigenfunction, halving the step on failures.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import CknError, StepFailureError, SymmetricFallbackError
 from .eigensolver import SolverCache, q_norm
@@ -24,10 +23,12 @@ from .io import FieldStore
 from .model import CylinderGrid, Field, ProblemParams, evaluate_norms
 from .symmetric import critical_value_sym, discrete_soliton, mu_FS, soliton, transverse_mode
 
-log = logging.getLogger(__name__)
-
 ASYMMETRY_SYMMETRIC = 1e-4
 ASYMMETRY_BIFURCATED = 1e-3
+MAX_POINTS = 2000
+# the Anderson-mixed fixed point needs tens of iterations even next to the
+# bifurcation, so this caps a failing solve rather than budgets a slow one
+FP_MAX_ITER = 1200
 
 
 def asymmetry(u: Field) -> float:
@@ -74,7 +75,6 @@ class Branch:
     params: ProblemParams
     points: list
     provenance: dict = field(default_factory=dict)
-    store_dir: str = ""
 
     def kappas(self) -> np.ndarray:
         return np.array([pt.kappa for pt in self.points])
@@ -110,119 +110,46 @@ def _symmetric_point(mu: float, grid: CylinderGrid, params: ProblemParams,
                        asymmetry=0.0, field_ref=cid, residual=eqmu_residual(u, mu))
 
 
-class _SphereObjective:
-    """Quotient (X + mu Y) / Z^(2/p) and its gradient on reduced dofs."""
-
-    def __init__(self, grid: CylinderGrid, mu: float):
-        self.grid = grid
-        self.m = grid.m
-        self.mu = mu
-        self.p = grid.p
-
-    def norms(self, x):
-        Kx = self.grid.apply_K(self.grid.embed(x))
-        X = float(x @ Kx)
-        Y = float(self.m @ x**2)
-        Z = float(self.m @ np.abs(x) ** self.p)
-        return X, Y, Z, Kx
-
-    def value_grad(self, x):
-        p = self.p
-        X, Y, Z, Kx = self.norms(x)
-        E = (X + self.mu * Y) / Z ** (2.0 / p)
-        # weighted-space gradient: M^-1 K x + mu x - ((X+muY)/Z) |x|^(p-2) x
-        g = Kx / self.m + self.mu * x - ((X + self.mu * Y) / Z) * np.abs(x) ** (p - 2.0) * x
-        g *= 2.0 / Z ** (2.0 / p)
-        return E, g
-
-    def dot(self, a, b):
-        return float(self.m @ (a * b))
-
-
-def _sphere_cg_descent(obj: _SphereObjective, x0: np.ndarray, max_iter: int = 400,
-                       gtol: float = 1e-7, restart: int = 20):
-    """Polak-Ribiere CG with Armijo backtracking on the unit L2 sphere."""
-    x = x0 / math.sqrt(obj.dot(x0, x0))
-    E, g = obj.value_grad(x)
-    g = g - obj.dot(g, x) * x
-    d = -g
-    alpha = 1.0 / max(1.0, math.sqrt(obj.dot(g, g)))
-    g_prev = g
-    for k in range(max_iter):
-        gnorm = math.sqrt(obj.dot(g, g))
-        if gnorm <= gtol * (1.0 + abs(E)):
-            break
-        slope = obj.dot(g, d)
-        if slope >= 0.0 or k % restart == 0:
-            d = -g
-            slope = -gnorm**2
-        accepted = False
-        a = alpha * 2.0
-        for _ in range(40):
-            xn = x + a * d
-            xn = xn / math.sqrt(obj.dot(xn, xn))
-            En, gn = obj.value_grad(xn)
-            if En <= E + 1e-4 * a * slope:
-                accepted = True
-                break
-            a *= 0.5
-        if not accepted:
-            break
-        alpha = a
-        x, E = xn, En
-        gn = gn - obj.dot(gn, xn) * xn
-        beta = max(0.0, obj.dot(gn, gn - g_prev) / obj.dot(g_prev, g_prev))
-        d = -gn + beta * d
-        g = g_prev = gn
-    return x, E
-
-
 def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams,
-               store: FieldStore | None = None, cache: SolverCache | None = None,
-               descent_iters: int = 400) -> tuple[BranchPoint, FixedPointResult]:
-    """Find one point of the non-symmetric branch by saddle descent at mu0.
+               store: FieldStore, cache: SolverCache | None = None
+               ) -> tuple[BranchPoint, FixedPointResult]:
+    """Find the point of the non-symmetric branch at the level of the soliton mu0.
 
-    eps is the perturbation size relative to the L2 norm of the symmetric
-    solution (default 0.05).  Returns the converged point and the full
-    fixed-point result (whose field and potential seed the continuation).
-    Raises SymmetricFallbackError when the descent returns to the
-    symmetric solution, which happens whenever mu0 <= mu_FS.
+    The seed is |u_sym + a* w| on the ray from the sampled soliton u_sym
+    along the transverse mode w (scaled to the norm of u_sym), with a*
+    minimizing the theta = 1 quotient at mu0 along the ray; eps (> 0) is
+    the first probe of the bracket search for a*.  One fixed-point solve
+    at the closed-form level kappa0 = critical_value_sym(mu0) turns the
+    seed into the start point, so the start depends on mu0 and the grid
+    alone.  Returns the converged point and the full fixed-point result
+    (whose field and potential seed the continuation).  Raises
+    SymmetricFallbackError when the solve returns to the symmetric
+    solution, which happens whenever mu0 <= mu_FS.
     """
-    if store is None:
-        store = FieldStore(tempfile.mkdtemp(prefix="ckn_branch_"))
-    if cache is None:
-        cache = SolverCache()
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     p = params.p
     u_sym = soliton(mu0, p).sample(grid)
+    _, w = transverse_mode(mu0, params, grid)
+    w = Field(grid, math.sqrt(u_sym.norm_sq()) * w.values)
 
-    if eps == 0.0:
-        log.warning("initialize called with eps = 0: returning the symmetric fixed point")
-        kappa0 = float(grid.integrate(np.abs(u_sym.values) ** p) ** ((p - 2.0) / p))
-        fp = roothan_solve(kappa0, self_potential(u_sym), grid, params,
-                           warm_start=u_sym, cache=cache)
-        return _branch_point(fp, store), fp
+    def ray(a: float) -> Field:
+        return Field(grid, np.abs(u_sym.values + a * w.values))
 
-    lam1, w = transverse_mode(mu0, params, grid)
-    eps_abs = eps * math.sqrt(u_sym.norm_sq())
-    u0 = Field(grid, u_sym.values + eps_abs * w.values)
+    def quotient(a: float) -> float:
+        X, Y, Z = evaluate_norms(ray(a))
+        return (X + mu0 * Y) / Z ** (2.0 / p)
 
-    obj = _SphereObjective(grid, mu0)
-    x, E = _sphere_cg_descent(obj, grid.restrict(u0.values), max_iter=descent_iters)
-    u_cg = Field(grid, grid.embed(x))
-    if grid.integrate(u_cg.values) < 0:
-        u_cg = Field(grid, -u_cg.values)
-    u_cg = Field(grid, np.abs(u_cg.values))
-
-    # the descent value is the critical level kappa_0 = Q^1_{mu0}[u]
-    kappa0 = float(E)
-    fp = roothan_solve(kappa0, self_potential(u_cg), grid, params,
-                       warm_start=u_cg, cache=cache)
+    seed = ray(minimize_scalar(quotient, bracket=(0.0, eps)).x)
+    seed = Field(grid, seed.values / math.sqrt(seed.norm_sq()))
+    fp = roothan_solve(critical_value_sym(mu0, params), self_potential(seed), grid, params,
+                       warm_start=seed, cache=cache)
     point = _branch_point(fp, store)
 
     j_sym = critical_value_sym(fp.mu, params) if fp.mu > 0 else np.inf
     if point.asymmetry <= ASYMMETRY_BIFURCATED or fp.kappa >= j_sym:
         raise SymmetricFallbackError(
-            f"descent at mu0 = {mu0} fell back to the symmetric solution "
+            f"start at mu0 = {mu0} fell back to the symmetric solution "
             f"(asymmetry {point.asymmetry:.2e}, Q1 {fp.kappa:.6g} vs symmetric {j_sym:.6g})"
         )
     return point, fp
@@ -242,11 +169,12 @@ def _predict(cur: Field, prev: Field | None, ratio: float) -> Field:
 
 def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: float,
                     grid: CylinderGrid, params: ProblemParams, store: FieldStore,
-                    start_result: FixedPointResult | None = None,
-                    cache: SolverCache | None = None, max_points: int = 2000,
-                    mu_min_factor: float = 0.1, tol: float = 1e-10,
-                    fp_max_iter: int = 1200) -> Branch:
+                    start_result: FixedPointResult, cache: SolverCache | None = None,
+                    mu_min_factor: float = 0.1, tol: float = 1e-10) -> Branch:
     """Step kappa from `start` and collect converged points into a Branch.
+
+    `start_result` is the fixed-point result behind `start`; its potential
+    and eigenfunction seed the first step.
 
     direction "down" walks toward the bifurcation and stops once the point
     is symmetric (asymmetry < 1e-4) or mu <= mu_FS, then extends the branch
@@ -258,12 +186,8 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     provenance["halving_reasons"].  Below eta/64 the walk raises
     StepFailureError, whose `branch` holds the points collected so far.
 
-    The amplitude mode slows the plain fixed point down critically near
-    the bifurcation; the Anderson-mixed one in `roothan_solve` needs tens
-    of iterations there, so `fp_max_iter` is a cap on a failing solve, not
-    a budget for a slow one.  Once kappa drops below the closed-form
-    bifurcation level the seed is symmetrized, which removes the
-    asymmetric transient altogether.
+    Once kappa drops below the closed-form bifurcation level the seed is
+    symmetrized, which removes the asymmetric transient altogether.
     """
     if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction}")
@@ -276,22 +200,15 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     kappa_fs = critical_value_sym(mu_fs, params)
     eta_min = eta / 64.0
 
-    if start_result is not None:
-        V = start_result.V
-        u_warm = start_result.u
-    else:
-        u_eq = store.load(start.field_ref, grid)
-        V = self_potential(u_eq)
-        nrm = math.sqrt(u_eq.norm_sq())
-        u_warm = Field(grid, u_eq.values / nrm)
-
+    V = start_result.V
+    u_warm = start_result.u
     points = [start]
     reasons: list[dict] = []
     kappa = start.kappa
     eta_cur = eta
     V_prev = u_prev = None
     kappa_prev = None
-    while len(points) < max_points:
+    while len(points) < MAX_POINTS:
         kappa_next = kappa + sign * eta_cur
         if direction == "down" and kappa - kappa_fs < 1.5 * eta:
             # the amplitude mode slows critically right above the
@@ -316,7 +233,7 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
         failure = None
         try:
             fp = roothan_solve(kappa_next, V0, grid, params, warm_start=u0,
-                               cache=cache, tol=tol, max_iter=fp_max_iter)
+                               cache=cache, tol=tol, max_iter=FP_MAX_ITER)
             if not fp.converged:
                 failure = {"reason": "not converged"}
             elif not fp.mu_positive:
@@ -341,8 +258,7 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
                 partial = Branch(
                     params=params, points=sorted(points, key=lambda pt: pt.kappa),
                     provenance={"direction": direction, "eta": eta, "halvings": len(reasons),
-                                "halving_reasons": reasons},
-                    store_dir=str(store.dir))
+                                "halving_reasons": reasons})
                 raise StepFailureError(reason, partial)
             continue
         points.append(_branch_point(fp, store))
@@ -376,8 +292,7 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
         "terminal_mu": terminal.mu, "terminal_asymmetry": terminal.asymmetry,
         "computed_points": n_computed,
     }
-    return Branch(params=params, points=ordered, provenance=prov,
-                  store_dir=str(store.dir))
+    return Branch(params=params, points=ordered, provenance=prov)
 
 
 def symmetric_discrete_branch(kappas, grid: CylinderGrid, params: ProblemParams) -> Branch:
@@ -406,5 +321,4 @@ def merge_branches(down: Branch, up: Branch) -> Branch:
     pts.update({pt.kappa: pt for pt in up.points})
     ordered = [pts[k] for k in sorted(pts)]
     prov = {"down": down.provenance, "up": up.provenance}
-    return Branch(params=down.params, points=ordered, provenance=prov,
-                  store_dir=down.store_dir)
+    return Branch(params=down.params, points=ordered, provenance=prov)

@@ -22,7 +22,7 @@ class PositivityError(CknError):
 
 
 class SymmetricFallbackError(CknError):
-    """A saddle descent returned to the symmetric solution."""
+    """The branch start returned to the symmetric solution (mu0 <= mu_FS)."""
 
 
 class StepFailureError(CknError):

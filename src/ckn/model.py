@@ -131,18 +131,14 @@ class CylinderGrid:
         full[:, -1] = full[:, -2]
         return full
 
-    def apply_K(self, values: np.ndarray) -> np.ndarray:
-        """Interior rows of K u for a nodal table u.
+    def action(self, values: np.ndarray) -> np.ndarray:
+        """Pointwise -Laplace u = M^-1 (K u) on the interior dofs.
 
         Boundary columns of K contribute, so fields with nonzero values at
         s = +-L are differentiated against those values; on an embedded
-        interior vector x this is exactly K_int x.
+        interior vector x, K u is exactly K_int x.
         """
-        return self.restrict((self.K @ values.ravel()).reshape(self.shape))
-
-    def action(self, values: np.ndarray) -> np.ndarray:
-        """Pointwise -Laplace u = M^-1 (K u) on the interior dofs."""
-        return self.apply_K(values) / self.m
+        return self.restrict((self.K @ values.ravel()).reshape(self.shape)) / self.m
 
 
 def build_grid(L: float, n_s: int, n_phi: int, params: ProblemParams) -> CylinderGrid:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import NonConvergenceError
 from .model import CylinderGrid, Field, ProblemParams, sphere_area
@@ -155,43 +155,19 @@ def _transverse_operator_1d(mu: float, params: ProblemParams, grid: CylinderGrid
     return _schrodinger_1d(pot, grid.h_s)
 
 
-def _ground_state_tridiag(ab: np.ndarray, tol: float = 1e-12, max_iter: int = 200):
-    """Lowest eigenpair of a symmetric tridiagonal matrix by inverse iteration."""
-    n = ab.shape[1]
-    x = np.exp(-np.linspace(-3.0, 3.0, n) ** 2)
-    x /= np.linalg.norm(x)
-
-    lam = float(x @ _banded_matvec(ab, x))
-    sigma = float(np.min(ab[1])) - 1.0
-    shifted = ab.copy()
-    for _ in range(max_iter):
-        shifted[1] = ab[1] - sigma
-        y = solve_banded((1, 1), shifted, x)
-        y /= np.linalg.norm(y)
-        Ay = _banded_matvec(ab, y)
-        lam = float(y @ Ay)
-        r = Ay - lam * y
-        x = y
-        if np.linalg.norm(r) <= tol * (1.0 + abs(lam)):
-            break
-        sigma = lam - 0.5
-    if x.sum() < 0:
-        x = -x
-    return lam, x
-
-
 def transverse_mode(mu: float, params: ProblemParams, grid: CylinderGrid):
     """Ground state of the transverse linearization and its eigenvalue.
 
     Returns (lam1, w) where w(s, phi) = phi1(s) cos(phi) is normalized to
     unit weighted L2 norm on `grid`.  lam1 approximates d-1+mu-mu p^2/4.
     """
-    lam1, x = _ground_state_tridiag(_transverse_operator_1d(mu, params, grid))
+    ab = _transverse_operator_1d(mu, params, grid)
+    lam, x = eigh_tridiagonal(ab[1], ab[0, 1:], select="i", select_range=(0, 0))
     phi1 = np.zeros(grid.n_s)
-    phi1[1:-1] = x
+    phi1[1:-1] = x[:, 0] if x[:, 0].sum() > 0 else -x[:, 0]
     w = Field(grid, phi1[:, None] * np.cos(grid.phi)[None, :])
     nrm = math.sqrt(w.norm_sq())
-    return lam1, Field(grid, w.values / nrm)
+    return float(lam[0]), Field(grid, w.values / nrm)
 
 
 def discrete_soliton(kappa: float, params: ProblemParams, grid: CylinderGrid):

@@ -90,12 +90,18 @@ def test_initialize_falls_back_below_threshold(coarse, tmp_path_factory):
         initialize(0.9 * mu_FS(P, D), 0.05, g, params, store, cache)
 
 
-def test_initialize_zero_eps_returns_symmetric(coarse, tmp_path_factory):
+def test_initialize_start_is_set_by_mu0_and_grid(coarse, tmp_path_factory):
+    # eps only opens the ray search, so the start is the same point for any
+    # eps, at exactly the closed-form level of the soliton mu0
     g, params, cache = coarse
-    store = FieldStore(tmp_path_factory.mktemp("zeroeps"))
-    pt, fp = initialize(1.2 * mu_FS(P, D), 0.0, g, params, store, cache)
-    assert pt.asymmetry <= 1e-6
-    assert pt.mu == pytest.approx(1.2 * mu_FS(P, D), rel=5e-3)
+    store = FieldStore(tmp_path_factory.mktemp("deterministic"))
+    mu0 = 1.2 * mu_FS(P, D)
+    starts = [initialize(mu0, eps, g, params, store, cache)[0] for eps in (0.05, 0.2)]
+    for pt in starts:
+        assert pt.kappa == critical_value_sym(mu0, params)
+    assert starts[1].mu == pytest.approx(starts[0].mu, rel=1e-12)
+    with pytest.raises(ValueError):
+        initialize(mu0, 0.0, g, params, store, cache)
 
 
 def test_branch_kappa_monotone(mini_branch):
@@ -222,6 +228,6 @@ def test_continue_branch_rejects_bad_args(mini_branch, coarse):
     store, start, fp, _, _ = mini_branch
     g, params, cache = coarse
     with pytest.raises(ValueError):
-        continue_branch(start, -0.1, "down", 0.0, g, params, store)
+        continue_branch(start, -0.1, "down", 0.0, g, params, store, fp)
     with pytest.raises(ValueError):
-        continue_branch(start, 0.1, "sideways", 0.0, g, params, store)
+        continue_branch(start, 0.1, "sideways", 0.0, g, params, store, fp)

@@ -281,7 +281,7 @@ def test_config_echo_in_outputs(tmp_path):
 
 
 def test_cli_solver_error_exit_code(tmp_path):
-    # descent below the stability threshold falls back to the symmetric
+    # below the stability threshold the start falls back to the symmetric
     # solution, which the branch command reports as a solver failure
     cfg = _tiny_config(tmp_path, mu0_factor=0.9)
     assert cli.main(["branch", "--config", str(cfg)]) == 3

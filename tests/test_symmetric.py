@@ -158,12 +158,17 @@ def test_transverse_eigenvalue_at_threshold(grid_surface):
     assert abs(lam1) < 1e-3
 
 
-def test_transverse_eigenvalue_above_threshold(grid_surface):
+@pytest.mark.parametrize("factor, tol", [(1.2, {"abs": 1e-3}), (3.0, {"rel": 1e-3})],
+                         ids=["1.2", "3.0"])
+def test_transverse_eigenvalue_above_threshold(grid_surface, factor, tol):
+    # the lowest eigenpair: a one-signed s-profile at the closed-form value
     g, params = grid_surface
-    mu = 1.2 * mu_FS(P, D)
+    mu = factor * mu_FS(P, D)
     lam1, w = transverse_mode(mu, params, g)
-    assert lam1 == pytest.approx(lambda1_H(mu, P, D), abs=1e-3)
+    assert lam1 == pytest.approx(lambda1_H(mu, P, D), **tol)
     assert lam1 < 0
+    profile = w.values[1:-1, np.argmax(np.cos(g.phi))]
+    assert np.all(profile > 0)
 
 
 def test_transverse_mode_discretization_order():
