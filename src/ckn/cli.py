@@ -116,8 +116,8 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
         header.append(f"Lambda_{_theta_tag(theta)}")
     for theta in config.theta_list:
         header.append(f"J_{_theta_tag(theta)}")
-    header += ["residual", "gap", "iterations", "eigen_iterations", "t", "asymmetry",
-               "checkpoint"]
+    header += ["residual", "gap", "iterations", "eigen_iterations", "lu_solves", "t",
+               "asymmetry", "checkpoint"]
     rows = []
     for pt in branch.points:
         vals = [analysis.curve_values(theta, pt.mu, pt.X, pt.Y, pt.Z, config.p)
@@ -125,7 +125,7 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
         rows.append([pt.kappa, pt.mu] + [float(lam) for lam, _ in vals]
                     + [float(J) for _, J in vals]
                     + [pt.residual, pt.gap, pt.iterations, pt.eigen_iterations,
-                       pt.t, pt.asymmetry, pt.field_ref])
+                       pt.lu_solves, pt.t, pt.asymmetry, pt.field_ref])
     path = out / "branch.csv"
     io.write_csv(path, io.config_echo(config), header, rows)
 

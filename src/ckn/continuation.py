@@ -50,8 +50,8 @@ class BranchPoint:
 
     Its certificate is `residual`, the eqmu_residual of the stored field at
     mu, and `gap`, the fixed point's final self-consistency gap.  `gap`,
-    `iterations` and `eigen_iterations` (the fixed point's work counters)
-    are nan for a point not computed by the fixed point.
+    `iterations`, `eigen_iterations` and `lu_solves` (the fixed point's
+    work counters) are nan for a point not computed by the fixed point.
     """
 
     kappa: float
@@ -66,6 +66,7 @@ class BranchPoint:
     gap: float = math.nan
     iterations: float = math.nan
     eigen_iterations: float = math.nan
+    lu_solves: float = math.nan
 
 
 @dataclass
@@ -95,6 +96,7 @@ def _branch_point(fp: FixedPointResult, store: FieldStore) -> BranchPoint:
         kappa=fp.kappa, mu=fp.mu, X=X, Y=Y, Z=Z, t=X / Y,
         asymmetry=asymmetry(fp.u_eq), field_ref=cid, residual=fp.residual, gap=fp.gap,
         iterations=fp.iterations, eigen_iterations=fp.eigen_iterations,
+        lu_solves=fp.lu_solves,
     )
 
 

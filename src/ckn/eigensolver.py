@@ -4,15 +4,26 @@ The discrete operator is the one the grid assembled from the
 staggered-difference energy form: on the interior dofs (Dirichlet rows at
 s = +-L and the zero-weight pole nodes eliminated), the generalized problem
 K u = lambda M u is scaled by M^(-1/2) into the standard symmetric one with
-matrix B - kappa V, solved by shifted inverse power iteration (shift = current
-Rayleigh quotient - 0.5) with a preconditioned conjugate-gradient inner
-solve.  Every outer step is followed by a two-dimensional Rayleigh-Ritz
-extraction on span{previous, new}, which makes the Rayleigh quotient
-sequence non-increasing -- the fixed-point loop asserts exactly that.
+matrix A = B - kappa V.  It is solved by block-size-1 LOPCG, Knyazev's
+locally optimal preconditioned conjugate gradient (SIAM J. Sci. Comput. 23
+(2001) 517-541): each step applies the preconditioner T once to the
+residual r = A y - lambda y and takes the lowest Ritz pair of A on
+span{y, T r, p}, p being the previous update direction.  y lies in that
+span, so the Rayleigh quotient sequence is non-increasing -- the
+fixed-point loop asserts exactly that.
+
+T is a sparse LU factor of a shifted operator, kept in a SolverCache and
+shared by every solve on the grid.  It is built at the Rayleigh quotient
+minus SHIFT_GAP; its pivots count the eigenvalues below the shift, and the
+shift is lowered until none is negative, so T is positive definite.  A
+factor built for an earlier operator degrades as the operator drifts, so a
+step that keeps more than REFRESH_RATIO of the residual on such a stale
+factor rebuilds it once for the current operator.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,17 +33,34 @@ from scipy.sparse.linalg import splu
 from .errors import NonConvergenceError, NormalizationError, PositivityError
 from .model import CylinderGrid, Field
 
-CG_RTOL = 1e-11
+SHIFT_GAP = 0.5
+# a basis direction whose norm falls below DROP_RTOL times its norm before
+# orthogonalization is numerically in the span of the others
+DROP_RTOL = 1e-10
+# a step that keeps more than this fraction of the residual on a stale
+# factor rebuilds it for the current operator
+REFRESH_RATIO = 0.8
+
+try:  # glibc: hands freed heap pages back to the OS
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 @dataclass
 class EigenResult:
-    """Converged lowest eigenpair: unit-norm nonnegative ground state."""
+    """Converged lowest eigenpair: unit-norm nonnegative ground state.
+
+    `iterations` counts the LOPCG steps plus the final residual check,
+    `lu_solves` the preconditioner applications (one per step).
+    """
 
     lam: float
     u: Field
     iterations: int
     residual: float
+    lu_solves: int
 
 
 class CylinderOperator:
@@ -51,9 +79,6 @@ class CylinderOperator:
 
     def matrix(self, shift: float = 0.0) -> sp.csc_matrix:
         return (self.grid.B - sp.diags(self.kv + shift)).tocsc()
-
-    def rayleigh(self, y: np.ndarray) -> float:
-        return float(y @ self.matvec(y) / (y @ y))
 
     def to_field(self, y: np.ndarray) -> Field:
         return Field(self.grid, self.grid.embed(y * self.isq))
@@ -90,97 +115,56 @@ def _check_potential(kappa: float, V: Field, grid: CylinderGrid):
 
 
 class SolverCache:
-    """Reusable factorization preconditioning the shifted inner solves.
+    """Sparse LU factor of a shifted operator: the LOPCG preconditioner.
 
     The factorization uses symmetric mode (symmetric permutation, no
-    pivoting), so applying it inside CG is a symmetric positive operation.
-    One instance can be shared across fixed-point iterations and whole
-    continuation runs; it is rebuilt for a new grid or when requested
-    (typically because CG failed after the operator drifted).
+    pivoting), so it is an LDL^T factorization in disguise: the diagonal of
+    U holds the pivots, and by Sylvester's law of inertia the number of
+    negative ones, `negative_pivots`, is the number of eigenvalues of the
+    factored operator below the shift.  One instance is shared across
+    fixed-point iterations and whole continuation runs, so the factor
+    usually serves operators other than the one it was built for; it is
+    rebuilt for a new grid or on request (a shift that left a negative
+    pivot, or convergence slowed on a stale factor).
     """
 
     def __init__(self):
         self._factor = None
         self._op = None
-        self._shift = None
+        self.negative_pivots = 0
 
     def preconditioner(self, op: CylinderOperator, shift: float, rebuild: bool = False):
         if rebuild or self._factor is None or self._op.grid is not op.grid:
+            # hand the old factor's pages back, or each rebuild grows the process
+            self._factor = None
+            if _malloc_trim is not None:
+                _malloc_trim(0)
             self._factor = splu(
                 op.matrix(shift), permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0, options={"SymmetricMode": True},
             )
-            self._op, self._shift = op, shift
+            self._op = op
+            self.negative_pivots = int(np.count_nonzero(self._factor.U.diagonal() < 0.0))
         return self._factor.solve
 
-    def built_for(self, op: CylinderOperator, shift: float) -> bool:
-        """Whether the factor in hand was built for this operator and shift."""
-        return self._factor is not None and self._op is op and self._shift == shift
-
-    def invalidate(self):
-        self._factor = None
+    def built_for(self, op: CylinderOperator) -> bool:
+        """Whether the factor in hand was built for this operator."""
+        return self._factor is not None and self._op is op
 
 
-def _pcg(op: CylinderOperator, shift: float, rhs: np.ndarray, x0: np.ndarray,
-         rtol: float, max_iter: int, precond):
-    """Preconditioned CG for (B - shift I) x = rhs.
-
-    Returns (x, status).  status is "converged", "budget" when the
-    iteration budget ran out, "indefinite" when a direction with
-    p.(B - shift I)p <= 0 proves the shifted matrix indefinite, or
-    "preconditioner" when r.z <= 0 shows the factor is not positive
-    definite; x is None for the last two.
-    """
-    x = x0.copy()
-    r = rhs - (op.matvec(x) - shift * x)
-    bnorm = float(np.linalg.norm(rhs))
-    if bnorm == 0.0:
-        return x, "converged"
-    z = precond(r)
-    pvec = z.copy()
-    rz = float(r @ z)
-    if rz <= 0.0:
-        return None, "preconditioner"
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= rtol * bnorm:
-            return x, "converged"
-        Ap = op.matvec(pvec) - shift * pvec
-        pAp = float(pvec @ Ap)
-        if pAp <= 0.0:
-            return None, "indefinite"
-        alpha = rz / pAp
-        x += alpha * pvec
-        r -= alpha * Ap
-        z = precond(r)
-        rz_new = float(r @ z)
-        if rz_new <= 0.0:
-            return None, "preconditioner"
-        pvec = z + (rz_new / rz) * pvec
-        rz = rz_new
-    return x, "budget"
-
-
-def _inner_solve(op: CylinderOperator, shift: float, rhs: np.ndarray, x0: np.ndarray,
-                 rtol: float, cache: SolverCache):
-    """Solve (B - shift I) x = rhs; None when the shifted matrix is indefinite.
-
-    A failure with a stale cached factor (built for an earlier operator or
-    shift) is retried once with a fresh factor.  There is no retry when CG
-    proved the shifted matrix indefinite or the factor is already this
-    matrix's: a fresh factor would change nothing, so that is None at once.
-    """
-    x, status = _pcg(op, shift, rhs, x0, rtol, 200, cache.preconditioner(op, shift))
-    if status == "converged":
-        return x
-    if status == "indefinite" or cache.built_for(op, shift):
-        return None
-    x, status = _pcg(op, shift, rhs, x0 if x is None else x, rtol, 200,
-                     cache.preconditioner(op, shift, rebuild=True))
-    if status == "converged":
-        return x
-    if status != "budget":
-        return None
-    raise NonConvergenceError("inner CG stalled even with a fresh factorization")
+def _positive_factor(op: CylinderOperator, lam: float, cache: SolverCache, rebuild: bool):
+    """The cache's solve; a factor built here is built at lam - SHIFT_GAP and
+    refactored at lower shifts while a pivot is negative."""
+    shift = lam - SHIFT_GAP
+    for attempt in range(8):
+        solve = cache.preconditioner(op, shift, rebuild)
+        if cache.negative_pivots == 0:
+            return solve
+        # drop the rejected factor before the next one is built
+        solve = None
+        shift -= 2.0 * (attempt + 1)
+        rebuild = True
+    raise NonConvergenceError("shifted operator stayed indefinite")
 
 
 def _default_start(op: CylinderOperator) -> np.ndarray:
@@ -192,13 +176,16 @@ def _default_start(op: CylinderOperator) -> np.ndarray:
 
 def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e-9,
                      warm_start: Field | None = None, max_iter: int = 200,
-                     cg_rtol: float = CG_RTOL, cache: SolverCache | None = None) -> EigenResult:
-    """Ground state of -Laplace - kappa V with unit weighted L2 norm.
+                     cache: SolverCache | None = None) -> EigenResult:
+    """Ground state of -Laplace - kappa V with unit weighted L2 norm, by the
+    LOPCG iteration of the module docstring on the factor in `cache`.
 
     `warm_start` (a Field) is the previous iterate in fixed-point or
-    continuation loops; reusing it typically cuts the outer iterations to
-    a handful.  The returned Rayleigh quotient never exceeds the warm
-    start's, which downstream monotonicity assertions rely on.
+    continuation loops; reusing it typically cuts the steps to a handful.
+    The returned Rayleigh quotient never exceeds the warm start's, which
+    downstream monotonicity assertions rely on.  A step that keeps more
+    than REFRESH_RATIO of the residual on a factor built for another
+    operator rebuilds the factor once for this one.
     """
     _check_potential(kappa, V, grid)
     op = CylinderOperator(kappa, V, grid)
@@ -214,41 +201,48 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
     else:
         y = _default_start(op)
 
-    lam = op.rayleigh(y)
-    resid = float(np.linalg.norm(op.matvec(y) - lam * y))
+    Ay = op.matvec(y)
+    lam = float(y @ Ay)
+    r = Ay - lam * y
+    resid = float(np.linalg.norm(r))
+    solve = None
+    p = None
+    solves = 0
     it = 0
     for it in range(1, max_iter + 1):
         if resid <= tol:
             break
-        sigma = lam - 0.5
-        x = None
-        for attempt in range(8):
-            x = _inner_solve(op, sigma, y, y / max(lam - sigma, 1e-3), cg_rtol, cache)
-            if x is not None:
-                break
-            sigma -= 2.0 * (attempt + 1)
-            cache.invalidate()
-        if x is None:
-            raise NonConvergenceError("inner CG failed: shifted operator stayed indefinite")
-
-        # Rayleigh-Ritz on span{y, x}: optimal combination, monotone quotient.
-        # Near convergence the orthogonalized correction drowns in projection
-        # roundoff, so switch to the plain (also monotone) inverse step.
-        q1 = y
-        v = x - (x @ q1) * q1
-        v -= (v @ q1) * q1
-        nv = np.linalg.norm(v)
-        if nv > 1e-6 * np.linalg.norm(x):
-            q2 = v / nv
-            b1, b2 = op.matvec(q1), op.matvec(q2)
-            H = np.array([[q1 @ b1, q1 @ b2], [q2 @ b1, q2 @ b2]])
-            w, U = np.linalg.eigh(H)
-            y = U[0, 0] * q1 + U[1, 0] * q2
-        else:
-            y = x
-        y = y / np.linalg.norm(y)
-        lam = op.rayleigh(y)
-        resid = float(np.linalg.norm(op.matvec(y) - lam * y))
+        if solve is None:
+            solve = _positive_factor(op, lam, cache, rebuild=False)
+        w = solve(r)
+        solves += 1
+        # orthonormal basis of span{y, T r, p}: a direction that is (numerically)
+        # in the span of the others is dropped, judged relative to its own norm
+        Q = y[:, None]
+        for v in (w, p):
+            if v is None:
+                continue
+            nv0 = np.linalg.norm(v)
+            for _ in range(2):
+                v = v - Q @ (Q.T @ v)
+            nv = np.linalg.norm(v)
+            if nv > DROP_RTOL * nv0:
+                Q = np.column_stack([Q, v / nv])
+        AQ = np.column_stack([Ay] + [op.matvec(q) for q in Q.T[1:]])
+        H = Q.T @ AQ
+        _, C = np.linalg.eigh(0.5 * (H + H.T))
+        c = C[:, 0]
+        p = Q[:, 1:] @ c[1:]
+        y = Q @ c
+        ny = np.linalg.norm(y)
+        y, p = y / ny, p / ny
+        Ay = op.matvec(y)
+        lam = float(y @ Ay)
+        r = Ay - lam * y
+        resid, last = float(np.linalg.norm(r)), resid
+        if resid > REFRESH_RATIO * last and not cache.built_for(op):
+            solve = None  # let the stale factor go before the next is built
+            solve = _positive_factor(op, lam, cache, rebuild=True)
     else:
         raise NonConvergenceError(
             f"eigensolver did not reach residual {tol} in {max_iter} iterations "
@@ -265,4 +259,4 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
         raise PositivityError(
             f"computed ground state is not sign-definite (min {umin:.3e}, max {umax:.3e})"
         )
-    return EigenResult(lam=lam, u=u, iterations=it, residual=resid)
+    return EigenResult(lam=lam, u=u, iterations=it, residual=resid, lu_solves=solves)

@@ -94,6 +94,7 @@ class FixedPointResult:
     mu_positive: bool
     iterations: int
     eigen_iterations: int
+    lu_solves: int
     residual: float
     gap: float
 
@@ -137,7 +138,7 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
     dFs: list[np.ndarray] = []
     u_prev = warm_start
     history: list[float] = []
-    eig_total = 0
+    eig_total = lu_total = 0
     gap = np.inf
     converged = False
     res = None
@@ -145,6 +146,7 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
         eig_tol = max(eigen_tol, min(INEXACT_CAP, INEXACT_FACTOR * gap))
         res = lowest_eigenpair(kappa, V, grid, tol=eig_tol, warm_start=u_prev, cache=cache)
         eig_total += res.iterations
+        lu_total += res.lu_solves
         if history and res.lam > history[-1] + MONOTONE_SLACK and V is not V_self:
             # the mixed candidate raised the eigenvalue: forget the secants
             # and take the plain step, which cannot
@@ -153,6 +155,7 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
             V = V_self
             res = lowest_eigenpair(kappa, V, grid, tol=eig_tol, warm_start=u_prev, cache=cache)
             eig_total += res.iterations
+            lu_total += res.lu_solves
         lam = res.lam
         if history and lam > history[-1] + MONOTONE_SLACK:
             raise MonotonicityError(
@@ -190,6 +193,6 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
     return FixedPointResult(
         kappa=kappa, mu=mu, u=res.u, u_eq=u_eq, V=V,
         lambda_history=hist, converged=converged, mu_positive=mu > 0,
-        iterations=len(history), eigen_iterations=eig_total,
+        iterations=len(history), eigen_iterations=eig_total, lu_solves=lu_total,
         residual=eqmu_residual(u_eq, mu), gap=gap,
     )

@@ -4,10 +4,10 @@ import pytest
 from ckn import eigensolver
 from ckn.errors import NormalizationError
 from ckn.eigensolver import (
-    CG_RTOL,
+    SHIFT_GAP,
     CylinderOperator,
     SolverCache,
-    _inner_solve,
+    _positive_factor,
     lowest_eigenpair,
     q_norm,
 )
@@ -77,7 +77,7 @@ def test_rayleigh_quotient_optimality(grid400, cache):
     rng = np.random.RandomState(0)
     for _ in range(20):
         v = rng.randn(op.n)
-        assert op.rayleigh(v) >= res.lam - 1e-9
+        assert v @ op.matvec(v) / (v @ v) >= res.lam - 1e-9
 
 
 def test_grid_convergence_order(cache):
@@ -170,23 +170,35 @@ def test_restrict_embed_roundtrip():
     np.testing.assert_array_equal(full[:, 0], full[:, 1])
 
 
-@pytest.mark.parametrize("stale", [False, True])
-def test_indefinite_shift_factors_once(monkeypatch, stale):
-    # a shift above the lowest eigenvalue makes B - shift I indefinite; a
-    # fresh factor cannot change that, so none is built for a retry
+def test_negative_pivots_count_eigenvalues_below_shift():
+    # symmetric mode factors without pivoting, so by Sylvester's law of
+    # inertia the negative pivots count the eigenvalues below the shift
     params = ProblemParams(D, P, 1.0, "surface")
     g = build_grid(8.0, 48, 10, params)
-    u = soliton(2.0, P).sample(g)
-    kappa = float(g.integrate(np.abs(u.values) ** P) ** ((P - 2.0) / P))
-    V = self_potential(u)
-    res = lowest_eigenpair(kappa, V, g)
+    kappa, V, _ = soliton_problem(g, 2.0)
     op = CylinderOperator(kappa, V, g)
-    y = op.from_field(res.u)
-    y /= np.linalg.norm(y)
+    lams = np.linalg.eigvalsh(op.matrix().toarray())
     cache = SolverCache()
-    if stale:
-        # factor at a safe shift: CG then proves the indefiniteness itself
-        assert _inner_solve(op, res.lam - 1.0, y, y, CG_RTOL, cache) is not None
+    for k in range(4):
+        cache.preconditioner(op, lams[k] + 1e-3, rebuild=True)
+        assert cache.negative_pivots == k + 1
+    cache.preconditioner(op, lams[0] - 1e-3, rebuild=True)
+    assert cache.negative_pivots == 0
+
+
+@pytest.mark.parametrize("built", [False, True])
+def test_indefinite_shift_refactors_once(monkeypatch, built):
+    # a shift above the lowest eigenvalue shows as a negative pivot and is
+    # lowered with one more factorization; a factor already built at a safe
+    # shift is kept as it is
+    params = ProblemParams(D, P, 1.0, "surface")
+    g = build_grid(8.0, 48, 10, params)
+    kappa, V, _ = soliton_problem(g, 2.0)
+    lam1 = lowest_eigenpair(kappa, V, g).lam
+    op = CylinderOperator(kappa, V, g)
+    cache = SolverCache()
+    if built:
+        _positive_factor(op, lam1 - 1.0 + SHIFT_GAP, cache, rebuild=False)
     calls = []
     real = eigensolver.splu
 
@@ -195,5 +207,35 @@ def test_indefinite_shift_factors_once(monkeypatch, stale):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(eigensolver, "splu", counting)
-    assert _inner_solve(op, res.lam + 0.5, y, y, CG_RTOL, cache) is None
-    assert len(calls) == (0 if stale else 1)
+    _positive_factor(op, lam1 + 0.5 + SHIFT_GAP, cache, rebuild=False)
+    assert len(calls) == (0 if built else 2)
+    assert cache.negative_pivots == 0
+
+
+def test_converges_from_start_near_tolerance(grid400, cache):
+    # a start a few times tol from convergence, off by grid-scale noise: the
+    # residual is then high-frequency, which the factor damps, so T r is far
+    # smaller than r and only a drop threshold relative to its own norm
+    # keeps it in the basis
+    g = grid400
+    tol = 1e-9
+    kappa, V, _ = soliton_problem(g, mu_FS(P, D))
+    exact = lowest_eigenpair(kappa, V, g, tol=1e-10, cache=cache)
+    op = CylinderOperator(kappa, V, g)
+    noise = np.random.RandomState(3).randn(*g.shape)
+
+    def start(eps):
+        return Field(g, exact.u.values + eps * noise)
+
+    def residual(eps):
+        y = op.from_field(start(eps))
+        y /= np.linalg.norm(y)
+        Ay = op.matvec(y)
+        return float(np.linalg.norm(Ay - (y @ Ay) * y))
+
+    eps = 1e-6 * 3.0 * tol / residual(1e-6)
+    assert 2.0 * tol < residual(eps) < 4.0 * tol
+    res = lowest_eigenpair(kappa, V, g, tol=tol, warm_start=start(eps), cache=cache)
+    assert res.residual <= tol
+    assert res.iterations <= 20
+    assert res.lam == pytest.approx(exact.lam, abs=1e-12)

@@ -129,7 +129,7 @@ def test_rising_eigenvalue_raises_typed_error(monkeypatch):
     lams = iter([-2.0, -1.0])
 
     def rising(kappa, V, grid, **kwargs):
-        return EigenResult(lam=next(lams), u=unit, iterations=1, residual=0.0)
+        return EigenResult(lam=next(lams), u=unit, iterations=1, residual=0.0, lu_solves=0)
 
     monkeypatch.setattr(fixedpoint, "lowest_eigenpair", rising)
     with pytest.raises(MonotonicityError, match="increased"):
@@ -154,17 +154,18 @@ def test_rejected_candidates_never_enter_history(monkeypatch):
     # must fall back to the plain step each time
     g, params, kappa, V0, mu_sym = asymmetric_start(0.9)
     real = fixedpoint.lowest_eigenpair
-    rejected, iterations = [], []
+    rejected, iterations, lu_solves = [], [], []
 
     def raise_mixed(kappa, V, grid, warm_start=None, **kwargs):
         res = real(kappa, V, grid, warm_start=warm_start, **kwargs)
         iterations.append(res.iterations)
+        lu_solves.append(res.lu_solves)
         plain = warm_start is None or np.array_equal(V.values, self_potential(warm_start).values)
         if plain:
             return res
         rejected.append(res.lam + 1.0)
         return EigenResult(lam=rejected[-1], u=res.u, iterations=res.iterations,
-                           residual=res.residual)
+                           residual=res.residual, lu_solves=res.lu_solves)
 
     monkeypatch.setattr(fixedpoint, "lowest_eigenpair", raise_mixed)
     fp = roothan_solve(kappa, V0, g, params, max_iter=400)
@@ -176,6 +177,7 @@ def test_rejected_candidates_never_enter_history(monkeypatch):
     assert not set(rejected) & set(hist)
     assert fp.iterations == len(hist) == len(iterations) - len(rejected)
     assert fp.eigen_iterations == sum(iterations)
+    assert fp.lu_solves == sum(lu_solves)
 
 
 def test_matches_discrete_soliton_below_bifurcation():
@@ -194,6 +196,17 @@ def test_near_bifurcation_iteration_count():
     fp = roothan_solve(kappa, V0, g, params)
     assert fp.converged
     assert fp.iterations <= 40
+    assert fp.mu == pytest.approx(mu_sym, rel=1e-9)
+
+
+def test_right_below_bifurcation_iteration_count():
+    # at 0.995 kappa_FS the Anderson safeguard cycled with the inexact
+    # shift-invert solves (154 iterations); the mixed candidates must keep
+    # converging this close to the bifurcation
+    g, params, kappa, V0, mu_sym = asymmetric_start(0.995)
+    fp = roothan_solve(kappa, V0, g, params)
+    assert fp.converged
+    assert fp.iterations <= 60
     assert fp.mu == pytest.approx(mu_sym, rel=1e-9)
 
 

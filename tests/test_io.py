@@ -6,6 +6,7 @@ import pytest
 
 from ckn import cli, continuation
 from ckn.continuation import asymmetry
+from ckn.eigensolver import SolverCache
 from ckn.errors import CheckpointError, ConfigError, NonConvergenceError
 from ckn.fixedpoint import SELF_CONSISTENCY_TOL, eqmu_residual
 from ckn.io import (
@@ -182,14 +183,30 @@ def test_cli_flag_overrides(tmp_path):
 
 @pytest.fixture(scope="module")
 def cli_branch_run(tmp_path_factory):
+    """Exit code, output dir and config of one `ckn branch` run, plus the
+    number of LU solves counted by wrapping the factor's solve."""
     tmp = tmp_path_factory.mktemp("clirun")
     cfg = _tiny_config(tmp, n_s=96, n_phi=12, eta=0.45)
-    rc = cli.main(["branch", "--config", str(cfg)])
-    return rc, tmp / "out", cfg
+    real = SolverCache.preconditioner
+    solves = []
+
+    def counting(cache, *args, **kwargs):
+        solve = real(cache, *args, **kwargs)
+
+        def counted(rhs):
+            solves.append(1)
+            return solve(rhs)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SolverCache, "preconditioner", counting)
+        rc = cli.main(["branch", "--config", str(cfg)])
+    return rc, tmp / "out", cfg, len(solves)
 
 
 def test_cli_branch_outputs(cli_branch_run):
-    rc, out, _ = cli_branch_run
+    rc, out, _, _ = cli_branch_run
     assert rc == 0
     comments, header, rows = read_csv(out / "branch.csv")
     assert header[:2] == ["kappa", "mu"]
@@ -211,12 +228,14 @@ def test_cli_branch_certificates(cli_branch_run):
     # computed rows carry the residual of their stored field, the fixed
     # point's self-consistency gap and its work counters; closed-form
     # extension rows have no gap and no counters
-    rc, out, _ = cli_branch_run
+    rc, out, _, lu_solves = cli_branch_run
     assert rc == 0
     _, header, rows = read_csv(out / "branch.csv")
     i_mu, i_cp = header.index("mu"), header.index("checkpoint")
     i_res, i_gap = header.index("residual"), header.index("gap")
     i_it, i_eig = header.index("iterations"), header.index("eigen_iterations")
+    i_lu = header.index("lu_solves")
+    assert i_lu == i_eig + 1 and header[i_lu + 1] == "t"
     store = FieldStore(out / "checkpoints")
     computed = [r for r in rows if np.isfinite(r[i_gap])]
     assert 0 < len(computed) < len(rows)
@@ -224,14 +243,19 @@ def test_cli_branch_certificates(cli_branch_run):
         assert row[i_res] == eqmu_residual(store.load(row[i_cp]), row[i_mu])
         assert row[i_gap] <= SELF_CONSISTENCY_TOL
         assert row[i_it] == int(row[i_it]) and 1 <= row[i_it] <= row[i_eig]
+        assert row[i_lu] == int(row[i_lu]) and row[i_lu] >= 1
+    # this run halves no step, so every solve belongs to some row
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["convergence"]["eta_halvings"] == 0
+    assert sum(row[i_lu] for row in computed) == lu_solves
     for row in rows:
         if not np.isfinite(row[i_gap]):
             assert row[i_res] == eqmu_residual(store.load(row[i_cp]), row[i_mu])
-            assert np.isnan(row[i_it]) and np.isnan(row[i_eig])
+            assert np.isnan(row[i_it]) and np.isnan(row[i_eig]) and np.isnan(row[i_lu])
 
 
 def test_cli_analyze_outputs(cli_branch_run):
-    rc, out, cfg = cli_branch_run
+    rc, out, cfg, _ = cli_branch_run
     assert rc == 0
     assert cli.main(["analyze", "--config", str(cfg)]) == 0
     comments, header, rows = read_csv(out / "crossings.csv")
@@ -254,7 +278,7 @@ def test_cli_analyze_outputs(cli_branch_run):
 
 
 def test_cli_svg_structure(cli_branch_run):
-    rc, out, cfg = cli_branch_run
+    rc, out, cfg, _ = cli_branch_run
     cli.main(["analyze", "--config", str(cfg)])
     for tag in ("0.714286", "1.000000"):
         path = out / f"diagram_{tag}.svg"
