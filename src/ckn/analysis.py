@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AmbiguousCrossingError
 from .model import ProblemParams, theta_critical
@@ -31,8 +30,6 @@ class ThetaCurve:
     Lambda: np.ndarray
     J: np.ndarray
     symmetric: np.ndarray
-    source: str = ""
-    params: ProblemParams | None = None
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
@@ -44,10 +41,11 @@ class ThetaCurve:
         if np.any(self.J <= 0):
             raise ValueError("curve has non-positive J values")
 
-    @property
-    def lambda_monotone(self) -> bool:
-        dL = np.diff(self.Lambda)
-        return bool(np.all(dL >= 0) or np.all(dL <= 0))
+    def nonsymmetric(self) -> ThetaCurve:
+        """The sub-curve of the points not flagged symmetric."""
+        keep = ~self.symmetric
+        return ThetaCurve(self.theta, self.mu[keep], self.Lambda[keep], self.J[keep],
+                          self.symmetric[keep])
 
 
 def curve_values(theta: float, mu, X, Y, Z, p: float):
@@ -75,7 +73,6 @@ def map_to_theta(branch, theta: float) -> ThetaCurve:
     return ThetaCurve(
         theta=theta, mu=mu[order], Lambda=Lam[order], J=J[order],
         symmetric=asym[order] <= SYMMETRIC_FLAG_ASYMMETRY,
-        source="branch", params=params,
     )
 
 
@@ -86,8 +83,7 @@ def symmetric_theta_curve(params: ProblemParams, theta: float,
     Lam = lambda_sym_theta(mu, theta, params.p)
     J = np.array([J_sym_theta(m, theta, params) for m in mu])
     return ThetaCurve(theta=theta, mu=mu, Lambda=Lam, J=J,
-                      symmetric=np.ones(len(mu), bool), source="symmetric",
-                      params=params)
+                      symmetric=np.ones(len(mu), bool))
 
 
 def lambda_FS(p: float, theta: float, d: int) -> float:
@@ -134,26 +130,28 @@ def _monotone_pieces(Lam: np.ndarray):
 
 
 def _seg_intersections(L1, J1, L2, J2):
-    """Intersections of two polylines given as (Lambda, J) arrays."""
-    hits = []
-    for i in range(len(L1) - 1):
-        a0, a1 = np.array([L1[i], J1[i]]), np.array([L1[i + 1], J1[i + 1]])
-        for j in range(len(L2) - 1):
-            b0, b1 = np.array([L2[j], J2[j]]), np.array([L2[j + 1], J2[j + 1]])
-            da, db = a1 - a0, b1 - b0
-            den = da[0] * db[1] - da[1] * db[0]
-            scale = max(abs(da[0] * db[1]), abs(da[1] * db[0]), 1e-300)
-            rhs = b0 - a0
-            if abs(den) <= 1e-12 * scale:
-                cross = rhs[0] * da[1] - rhs[1] * da[0]
-                if abs(cross) <= 1e-10 * max(np.abs(da).max(), 1.0) * max(np.abs(rhs).max(), 1.0):
-                    hits.append(("overlap", i, j, None, None))
-                continue
-            s = (rhs[0] * db[1] - rhs[1] * db[0]) / den
-            t = (rhs[0] * da[1] - rhs[1] * da[0]) / den
-            if -1e-12 <= s <= 1 + 1e-12 and -1e-12 <= t <= 1 + 1e-12:
-                hits.append(("point", i, j, s, t))
-    return hits
+    """Segment-pair intersections of two polylines given as (Lambda, J) arrays.
+
+    Returns (overlaps, i, j, s, t): the number of collinear segment pairs,
+    and for every other pair that meets, in row-major (i, j) order, the
+    segment indices and the fractions s along segment i of the first
+    polyline and t along segment j of the second.
+    """
+    da = np.stack([np.diff(L1), np.diff(J1)])[:, :, None]
+    db = np.stack([np.diff(L2), np.diff(J2)])[:, None, :]
+    rhs = np.stack([L2[:-1], J2[:-1]])[:, None, :] - np.stack([L1[:-1], J1[:-1]])[:, :, None]
+    den = da[0] * db[1] - da[1] * db[0]
+    scale = np.maximum(np.maximum(np.abs(da[0] * db[1]), np.abs(da[1] * db[0])), 1e-300)
+    parallel = np.abs(den) <= 1e-12 * scale
+    cross = rhs[0] * da[1] - rhs[1] * da[0]
+    size = np.maximum(np.abs(da).max(axis=0), 1.0) * np.maximum(np.abs(rhs).max(axis=0), 1.0)
+    overlaps = int(np.count_nonzero(parallel & (np.abs(cross) <= 1e-10 * size)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (rhs[0] * db[1] - rhs[1] * db[0]) / den
+        t = cross / den
+    hit = ~parallel & (s >= -1e-12) & (s <= 1 + 1e-12) & (t >= -1e-12) & (t <= 1 + 1e-12)
+    i, j = np.nonzero(hit)
+    return overlaps, i, j, s[i, j], t[i, j]
 
 
 def detect_crossing(sym: ThetaCurve, nonsym: ThetaCurve) -> Crossing | None:
@@ -166,28 +164,16 @@ def detect_crossing(sym: ThetaCurve, nonsym: ThetaCurve) -> Crossing | None:
     """
     if abs(sym.theta - nonsym.theta) > 1e-12:
         raise ValueError("curves belong to different theta values")
-    asym = ~nonsym.symmetric
-    if asym.sum() < 2:
+    ns = nonsym.nonsymmetric()
+    if len(ns.mu) < 2:
         return None
-    muN, LN, JN = nonsym.mu[asym], nonsym.Lambda[asym], nonsym.J[asym]
-    if max(LN) < min(sym.Lambda) or min(LN) > max(sym.Lambda):
-        return None
+    overlaps, i, j, s, t = _seg_intersections(ns.Lambda, ns.J, sym.Lambda, sym.J)
 
-    candidates = []
-    overlaps = 0
-    for (a, b) in _monotone_pieces(LN):
-        for (c, e) in _monotone_pieces(sym.Lambda):
-            hits = _seg_intersections(LN[a:b + 1], JN[a:b + 1],
-                                      sym.Lambda[c:e + 1], sym.J[c:e + 1])
-            for kind, i, j, s, t in hits:
-                if kind == "overlap":
-                    overlaps += 1
-                    continue
-                Lam1 = LN[a + i] + s * (LN[a + i + 1] - LN[a + i])
-                J1 = JN[a + i] + s * (JN[a + i + 1] - JN[a + i])
-                mu1 = muN[a + i] + s * (muN[a + i + 1] - muN[a + i])
-                mu1s = sym.mu[c + j] + t * (sym.mu[c + j + 1] - sym.mu[c + j])
-                candidates.append(Crossing(Lambda1=Lam1, J1=J1, mu1_star=mu1s, mu1=mu1))
+    def along(x, k, f):
+        return x[k] + f * (x[k + 1] - x[k])
+
+    candidates = [Crossing(*c) for c in zip(along(ns.Lambda, i, s), along(ns.J, i, s),
+                                            along(sym.mu, j, t), along(ns.mu, i, s))]
 
     # contacts at the bifurcation have nearly equal parameter preimages;
     # a genuine coexistence crossing pairs two distinct solutions
@@ -207,92 +193,38 @@ def detect_crossing(sym: ThetaCurve, nonsym: ThetaCurve) -> Crossing | None:
     if len(unique) > 1:
         raise AmbiguousCrossingError(
             f"{len(unique)} distinct crossings found", unique)
-    if not unique:
-        return None
-    c = unique[0]
-    if sym.params is not None and sym.source == "symmetric":
-        # closed-form curve: refine the cell intersection exactly
-        c = _polish_crossing(c, sym, nonsym)
-    return c
-
-
-def _polish_crossing(c: Crossing, sym: ThetaCurve, nonsym: ThetaCurve) -> Crossing:
-    """One closed-form refinement: solve J_sym(Lambda) = J_branch(Lambda).
-
-    The symmetric side is evaluated exactly; the branch side stays the
-    piecewise-linear interpolant near the detected cell.
-    """
-    params = sym.params
-    theta = sym.theta
-    slope = theta - (1.0 - theta) * (params.p - 2.0) / (params.p + 2.0)
-    if slope <= 0:
-        return c
-
-    asym = ~nonsym.symmetric
-    LN, JN = nonsym.Lambda[asym], nonsym.J[asym]
-    muN = nonsym.mu[asym]
-
-    def branch_J(lam):
-        for (a, b) in _monotone_pieces(LN):
-            seg = slice(a, b + 1)
-            lo, hi = LN[seg].min(), LN[seg].max()
-            if lo - 1e-12 <= lam <= hi + 1e-12:
-                xs = LN[seg]
-                ys = JN[seg]
-                ms = muN[seg]
-                if xs[0] > xs[-1]:
-                    xs, ys, ms = xs[::-1], ys[::-1], ms[::-1]
-                if abs(np.interp(lam, xs, ms) - c.mu1) < 0.5 * max(c.mu1, 1.0):
-                    return np.interp(lam, xs, ys), np.interp(lam, xs, ms)
-        return None, None
-
-    def gap(lam):
-        jb, _ = branch_J(lam)
-        if jb is None:
-            return np.nan
-        mu_s = lam / slope
-        return J_sym_theta(mu_s, theta, params) - jb
-
-    dL = 0.02 * abs(c.Lambda1) + 1e-9
-    lo, hi = c.Lambda1 - dL, c.Lambda1 + dL
-    glo, ghi = gap(lo), gap(hi)
-    if np.isnan(glo) or np.isnan(ghi) or glo * ghi > 0:
-        return c
-    lam1 = brentq(gap, lo, hi, xtol=1e-12 * max(abs(c.Lambda1), 1.0))
-    jb, mu1 = branch_J(lam1)
-    return Crossing(Lambda1=float(lam1), J1=float(jb),
-                    mu1_star=float(lam1 / slope), mu1=float(mu1))
+    return unique[0] if unique else None
 
 
 def min_envelope(curves: list[ThetaCurve], Lambda_grid):
     """Pointwise minimum of J over curves on Lambda_grid.
 
     Returns (rows, jumps): rows are (Lambda, J_min, source index) with NaN
-    J where no curve is defined; jumps are the Lambda midpoints where the
-    argmin switches between sources.
+    J and source -1 where no curve is defined; jumps are the Lambda
+    midpoints where the argmin switches between sources.  Each monotone
+    piece of each curve is interpolated over the whole grid (+inf outside
+    the piece); ties go to the earliest curve and piece.
     """
     if not curves:
         raise ValueError("need at least one curve")
     grid = np.asarray(Lambda_grid, dtype=float)
-    rows = []
-    for lam in grid:
-        best, src = np.inf, -1
-        for k, c in enumerate(curves):
-            for (a, b) in _monotone_pieces(c.Lambda):
-                xs, ys = c.Lambda[a:b + 1], c.J[a:b + 1]
-                if xs[0] > xs[-1]:
-                    xs, ys = xs[::-1], ys[::-1]
-                if xs[0] - 1e-12 <= lam <= xs[-1] + 1e-12:
-                    j = float(np.interp(lam, xs, ys))
-                    if j < best:
-                        best, src = j, k
-        rows.append((float(lam), best if np.isfinite(best) else float("nan"), src))
-    if all(not np.isfinite(r[1]) for r in rows):
+    levels, owners = [np.full(len(grid), np.inf)], [-1]
+    for k, c in enumerate(curves):
+        for (a, b) in _monotone_pieces(c.Lambda):
+            xs, ys = c.Lambda[a:b + 1], c.J[a:b + 1]
+            if xs[0] > xs[-1]:
+                xs, ys = xs[::-1], ys[::-1]
+            inside = (xs[0] - 1e-12 <= grid) & (grid <= xs[-1] + 1e-12)
+            levels.append(np.where(inside, np.interp(grid, xs, ys), np.inf))
+            owners.append(k)
+    levels = np.array(levels)
+    src = np.array(owners)[levels.argmin(axis=0)]
+    if np.all(src < 0):
         raise ValueError("no curve is defined anywhere on the Lambda grid")
-    jumps = []
-    for (l0, j0, s0), (l1, j1, s1) in zip(rows, rows[1:]):
-        if s0 >= 0 and s1 >= 0 and s0 != s1:
-            jumps.append(0.5 * (l0 + l1))
+    J = levels.min(axis=0)
+    rows = list(zip(grid.tolist(), np.where(src >= 0, J, np.nan).tolist(), src.tolist()))
+    jumps = [0.5 * (l0 + l1) for (l0, _, s0), (l1, _, s1) in zip(rows, rows[1:])
+             if s0 >= 0 and s1 >= 0 and s0 != s1]
     return rows, jumps
 
 
@@ -300,29 +232,14 @@ def lambda_GN(p: float, d: int, J_inf: float, measure_mode: str = "surface") -> 
     """Existence threshold sup{Lambda_sym(mu) : J_sym(mu) < J_inf} at
     theta = Theta(p, d), computed on the closed-form symmetric curve.
 
-    J_inf must be given in the same measure mode.  Relies on monotonicity
-    of the symmetric curve parameter in mu (checked; falls back to a scan
-    plus maximum when violated).
+    At Theta the symmetric level is the power law J_sym(mu) = J_sym(1) mu^e
+    with e = Theta - (p-2)/(2p) = (d-1)(p-2)/(2p) > 0, so the threshold is
+    the curve parameter at mu = (J_inf / J_sym(1))^(1/e).  J_inf must be
+    given in the same measure mode.
     """
+    if not (J_inf > 0 and np.isfinite(J_inf)):
+        raise ValueError(f"J_inf must be positive and finite, got {J_inf}")
     theta = theta_critical(p, d)
-    params = ProblemParams(d, p, theta, measure_mode)
-    slope = theta - (1.0 - theta) * (p - 2.0) / (p + 2.0)
-
-    mus = np.geomspace(1e-6, 1e8, 300)
-    js = np.array([J_sym_theta(m, theta, params) for m in mus])
-    below = js < J_inf
-    if not below.any():
-        raise ValueError("symmetric curve never drops below the limit level")
-    if below.all():
-        raise ValueError("symmetric curve never reaches the limit level")
-
-    if np.all(np.diff(js) > 0) and slope > 0:
-        i = int(np.argmin(below))  # first False
-        mu_hat = brentq(lambda m: J_sym_theta(m, theta, params) - J_inf,
-                        mus[i - 1], mus[i], xtol=1e-14, rtol=1e-15)
-        resid = abs(J_sym_theta(mu_hat, theta, params) - J_inf)
-        if resid > 1e-8:
-            raise ValueError(f"bisection residual {resid} above tolerance")
-        return float(lambda_sym_theta(mu_hat, theta, p))
-    # non-monotone fallback: best Lambda among sampled sub-level points
-    return float(np.max(lambda_sym_theta(mus[below], theta, p)))
+    j1 = J_sym_theta(1.0, theta, ProblemParams(d, p, theta, measure_mode))
+    mu_hat = (J_inf / j1) ** (1.0 / (theta - (p - 2.0) / (2.0 * p)))
+    return float(lambda_sym_theta(mu_hat, theta, p))

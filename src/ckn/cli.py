@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, continuation, gn, io, svg
 from .errors import CknError, ConfigError, NonConvergenceError, StepFailureError
 from .eigensolver import SolverCache
-from .model import ProblemParams, build_grid, theta_critical
+from .model import build_grid, theta_critical
 from .symmetric import critical_value_sym, mu_FS, soliton, soliton_norms, t_symmetric
 
 EXIT_CONFIG = 2
@@ -95,7 +95,8 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
 
     t0 = time.time()
     start, fp = continuation.initialize(
-        config.mu0_factor * mu_fs, config.eps, grid, params, store, cache)
+        config.mu0_factor * mu_fs, config.eps, grid, params, store, cache,
+        tol=config.tol, eigen_tol=config.eigen_tol)
     eta = config.eta if config.eta is not None else start.kappa / 200.0
     kappa_stop = config.kappa_stop if config.kappa_stop is not None else 2.0 * start.kappa
     walks, stopped = [], None
@@ -103,7 +104,8 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
         for direction, stop in (("down", 0.0), ("up", kappa_stop)):
             walks.append(continuation.continue_branch(
                 start, eta, direction, stop, grid, params, store, start_result=fp,
-                cache=cache, mu_min_factor=config.mu_min_factor, tol=config.tol))
+                cache=cache, mu_min_factor=config.mu_min_factor, tol=config.tol,
+                eigen_tol=config.eigen_tol))
     except StepFailureError as exc:
         # keep what the stalled walk collected; the error still exits 3
         walks.append(exc.branch)
@@ -154,7 +156,7 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
     return [path, manifest]
 
 
-def _branch_curves_from_csv(path, theta: float, params: ProblemParams):
+def _branch_curves_from_csv(path, theta: float):
     comments, header, rows = io.read_csv(path)
     tag = f"Lambda_{_theta_tag(theta)}"
     if tag not in header:
@@ -168,8 +170,7 @@ def _branch_curves_from_csv(path, theta: float, params: ProblemParams):
     order = np.argsort(mu)
     return analysis.ThetaCurve(
         theta=theta, mu=mu[order], Lambda=Lam[order], J=J[order],
-        symmetric=asym[order] <= analysis.SYMMETRIC_FLAG_ASYMMETRY,
-        source=str(path), params=params)
+        symmetric=asym[order] <= analysis.SYMMETRIC_FLAG_ASYMMETRY)
 
 
 def _field_contour_csv(config, out: Path, name: str, field) -> Path:
@@ -207,7 +208,7 @@ def cmd_analyze(config: io.RunConfig, out: Path) -> list[Path]:
 
     crossing_rows = []
     for theta in config.theta_list:
-        nonsym = _branch_curves_from_csv(branch_csv, theta, params)
+        nonsym = _branch_curves_from_csv(branch_csv, theta)
         mu_hi = max(nonsym.mu.max() * 1.2, 4.0 * mu_fs)
         sym_smooth = analysis.symmetric_theta_curve(
             params, theta, np.geomspace(config.mu_min_factor * mu_fs * 0.5, mu_hi, 600))
@@ -228,7 +229,8 @@ def cmd_analyze(config: io.RunConfig, out: Path) -> list[Path]:
         lo = max(np.min(nonsym.Lambda), np.min(sym.Lambda))
         hi = min(np.max(nonsym.Lambda), np.max(sym.Lambda))
         grid_l = np.linspace(lo, hi, 400)
-        rows, jumps = analysis.min_envelope([sym, nonsym], grid_l)
+        # the branch's symmetric rows only duplicate the reference
+        rows, jumps = analysis.min_envelope([sym, nonsym.nonsymmetric()], grid_l)
         env_path = out / f"envelope_{_theta_tag(theta)}.csv"
         io.write_csv(env_path, io.config_echo(config) + [f"jumps: {jumps!r}"],
                      ["Lambda", "J_min", "source"],

@@ -113,7 +113,8 @@ def _symmetric_point(mu: float, grid: CylinderGrid, params: ProblemParams,
 
 
 def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams,
-               store: FieldStore, cache: SolverCache | None = None
+               store: FieldStore, cache: SolverCache | None = None,
+               tol: float = 1e-10, eigen_tol: float = 1e-9
                ) -> tuple[BranchPoint, FixedPointResult]:
     """Find the point of the non-symmetric branch at the level of the soliton mu0.
 
@@ -124,7 +125,8 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
     at the closed-form level kappa0 = critical_value_sym(mu0) turns the
     seed into the start point, so the start depends on mu0 and the grid
     alone.  Returns the converged point and the full fixed-point result
-    (whose field and potential seed the continuation).  Raises
+    (whose field and potential seed the continuation).  `tol` and
+    `eigen_tol` go to that solve, as in `roothan_solve`.  Raises
     SymmetricFallbackError when the solve returns to the symmetric
     solution, which happens whenever mu0 <= mu_FS.
     """
@@ -145,7 +147,7 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
     seed = ray(minimize_scalar(quotient, bracket=(0.0, eps)).x)
     seed = Field(grid, seed.values / math.sqrt(seed.norm_sq()))
     fp = roothan_solve(critical_value_sym(mu0, params), self_potential(seed), grid, params,
-                       warm_start=seed, cache=cache)
+                       warm_start=seed, cache=cache, tol=tol, eigen_tol=eigen_tol)
     point = _branch_point(fp, store)
 
     j_sym = critical_value_sym(fp.mu, params) if fp.mu > 0 else np.inf
@@ -172,7 +174,8 @@ def _predict(cur: Field, prev: Field | None, ratio: float) -> Field:
 def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: float,
                     grid: CylinderGrid, params: ProblemParams, store: FieldStore,
                     start_result: FixedPointResult, cache: SolverCache | None = None,
-                    mu_min_factor: float = 0.1, tol: float = 1e-10) -> Branch:
+                    mu_min_factor: float = 0.1, tol: float = 1e-10,
+                    eigen_tol: float = 1e-9) -> Branch:
     """Step kappa from `start` and collect converged points into a Branch.
 
     `start_result` is the fixed-point result behind `start`; its potential
@@ -235,7 +238,8 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
         failure = None
         try:
             fp = roothan_solve(kappa_next, V0, grid, params, warm_start=u0,
-                               cache=cache, tol=tol, max_iter=FP_MAX_ITER)
+                               cache=cache, tol=tol, eigen_tol=eigen_tol,
+                               max_iter=FP_MAX_ITER)
             if not fp.converged:
                 failure = {"reason": "not converged"}
             elif not fp.mu_positive:

@@ -120,14 +120,10 @@ def critical_value_sym(mu: float, params: ProblemParams) -> float:
 
 
 def mu_from_kappa_sym(kappa: float, params: ProblemParams) -> float:
-    """Invert kappa = Z(mu)^((p-2)/p) on the symmetric family (closed form)."""
+    """Invert kappa = Z(mu)^((p-2)/p) through the power law Z(mu) = Z(1) mu^((p+2)/(2(p-2)))."""
     p = params.p
-    m = 2.0 * p / (p - 2.0)
-    c = (0.5 * p) ** (p / (p - 2.0)) * _sech_moment(m) * 2.0 / (p - 2.0)
-    if params.measure_mode == "surface":
-        c *= sphere_area(params.d)
-    Z = kappa ** (p / (p - 2.0))
-    return (Z / c) ** (2.0 * (p - 2.0) / (p + 2.0))
+    _, _, Z1 = soliton_norms(1.0, p, params.d, params.measure_mode)
+    return (kappa ** (p / (p - 2.0)) / Z1) ** (2.0 * (p - 2.0) / (p + 2.0))
 
 
 def _schrodinger_1d(pot: np.ndarray, h: float) -> np.ndarray:

@@ -8,6 +8,7 @@ from ckn.analysis import (
     detect_crossing,
     lambda_FS,
     lambda_GN,
+    map_to_theta,
     min_envelope,
     symmetric_theta_curve,
 )
@@ -162,7 +163,7 @@ def test_symmetric_theta_curve_builder():
     params = ProblemParams(D, P, 5.0 / 7.0, "surface")
     mus = np.geomspace(0.5, 20, 50)
     c = symmetric_theta_curve(params, 5.0 / 7.0, mus)
-    assert c.lambda_monotone
+    assert np.all(np.diff(c.Lambda) > 0)
     assert np.all(c.symmetric)
     k = 17
     assert c.J[k] == pytest.approx(J_sym_theta(mus[k], 5.0 / 7.0, params), rel=1e-12)
@@ -184,6 +185,10 @@ def test_lambda_GN_residual_and_value(j_inf_pair):
     slope = theta - (1 - theta) * (P - 2) / (P + 2)
     mu_hat = lam_gn / slope
     assert abs(J_sym_theta(mu_hat, theta, params) - j_s) <= 1e-8
+    assert lam_gn == pytest.approx(2.706965061745906, rel=1e-13)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            lambda_GN(P, D, bad, "surface")
 
 
 def test_lambda_GN_mode_consistency(j_inf_pair):
@@ -205,28 +210,53 @@ def test_lambda_GN_monotone_crossing_exists(j_inf_pair):
     assert J_sym_theta(2.0 * mu_hat, theta, params) > j_s
 
 
-def test_envelope_jump_matches_crossing(run_p278):
-    """The argmin switch of the envelope sits within one grid cell of
-    the detected crossing."""
-    from ckn.analysis import map_to_theta
-
-    theta = 5.0 / 7.0
-    nonsym = map_to_theta(run_p278["branch"], theta)
-    sym = map_to_theta(run_p278["sym_branch"], theta)
-    crossing = detect_crossing(sym, nonsym)
-    assert crossing is not None
+def _envelope(run, theta):
+    """Envelope of the symmetric reference and the branch's non-symmetric
+    points on the Lambda grid `ckn analyze` uses."""
+    nonsym = map_to_theta(run["branch"], theta)
+    sym = map_to_theta(run["sym_branch"], theta)
     lo = max(nonsym.Lambda.min(), sym.Lambda.min())
     hi = min(nonsym.Lambda.max(), sym.Lambda.max())
     grid_l = np.linspace(lo, hi, 400)
+    rows, jumps = min_envelope([sym, nonsym.nonsymmetric()], grid_l)
+    return sym, nonsym, grid_l, rows, jumps
+
+
+def test_envelope_jump_matches_crossing(run_p278):
+    """The argmin switches once, within one grid cell of the detected
+    crossing."""
+    theta = 5.0 / 7.0
+    sym, nonsym, grid_l, rows, jumps = _envelope(run_p278, theta)
+    crossing = detect_crossing(sym, nonsym)
+    assert crossing is not None
     cell = grid_l[1] - grid_l[0]
-    rows, jumps = min_envelope([sym, nonsym], grid_l)
-    assert jumps, "envelope should switch source at the crossing"
-    nearest = min(jumps, key=lambda l: abs(l - crossing.Lambda1))
-    assert abs(nearest - crossing.Lambda1) <= cell
+    assert len(jumps) == 1
+    assert abs(jumps[0] - crossing.Lambda1) <= cell
     # envelope lies below both curves at their own sample points
     env_l = np.array([r[0] for r in rows])
     env_j = np.array([r[1] for r in rows])
+    lo, hi = grid_l[0], grid_l[-1]
     for c in (sym, nonsym):
         inside = (c.Lambda > lo + cell) & (c.Lambda < hi - cell)
         ej = np.interp(c.Lambda[inside], env_l, env_j)
         assert np.all(ej <= c.J[inside] + cell * 10.0)
+
+
+def test_envelope_single_jump_at_bifurcation(run_p27):
+    """Without a crossing the envelope leaves the symmetric curve once,
+    where the branch bifurcates from it."""
+    theta = 5.0 / 7.0
+    _, _, grid_l, _, jumps = _envelope(run_p27, theta)
+    assert len(jumps) == 1
+    assert abs(jumps[0] - lambda_FS(2.7, theta, D)) <= 2 * (grid_l[1] - grid_l[0])
+
+
+def test_crossing_on_tier1_grid(run_p278):
+    """The p = 2.78 crossing on the 240x28 grid, pinned to guard the
+    polyline intersection against the discrete symmetric reference."""
+    theta = 5.0 / 7.0
+    crossing = detect_crossing(map_to_theta(run_p278["sym_branch"], theta),
+                               map_to_theta(run_p278["branch"], theta))
+    assert crossing.Lambda1 == pytest.approx(2.8618806443, rel=1e-8)
+    assert crossing.mu1_star == pytest.approx(4.2867295, rel=1e-5)
+    assert crossing.mu1 == pytest.approx(5.0732135, rel=1e-5)

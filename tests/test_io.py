@@ -205,6 +205,23 @@ def cli_branch_run(tmp_path_factory):
     return rc, tmp / "out", cfg, len(solves)
 
 
+def test_cli_branch_passes_tolerances(tmp_path, monkeypatch):
+    # the config's tol and eigen_tol reach every fixed-point solve,
+    # the start solve included
+    cfg = _tiny_config(tmp_path, tol=3e-10, eigen_tol=5e-10)
+    real = continuation.roothan_solve
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((kwargs.get("tol"), kwargs.get("eigen_tol")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "roothan_solve", recording)
+    assert cli.main(["branch", "--config", str(cfg)]) == 0
+    assert len(calls) > 1
+    assert set(calls) == {(3e-10, 5e-10)}
+
+
 def test_cli_branch_outputs(cli_branch_run):
     rc, out, _, _ = cli_branch_run
     assert rc == 0

@@ -146,6 +146,21 @@ def test_mu_from_kappa_inverts_closed_form():
         assert mu_from_kappa_sym(kappa, params) == pytest.approx(mu, rel=1e-12)
 
 
+def test_symmetric_levels_are_power_laws():
+    # the closed-form inversions of lambda_GN and mu_from_kappa_sym rest on
+    # J_sym ~ mu^(theta - (p-2)/(2p)) and kappa_sym ~ mu^((p+2)/(2p))
+    for p, d in ((2.7, 5), (2.8, 5), (3.2, 5), (2.5, 3), (4.0, 3), (2.2, 7)):
+        for mode in ("surface", "probability"):
+            params = ProblemParams(d, p, 1.0, mode)
+            for mu in (0.3, 2.0, 11.0):
+                ratio = critical_value_sym(2 * mu, params) / critical_value_sym(mu, params)
+                assert ratio == pytest.approx(2 ** ((p + 2) / (2 * p)), rel=1e-13)
+                for theta in (d * (p - 2) / (2 * p), 0.8, 1.0):
+                    e = theta - (p - 2) / (2 * p)
+                    ratio = J_sym_theta(2 * mu, theta, params) / J_sym_theta(mu, theta, params)
+                    assert ratio == pytest.approx(2**e, rel=1e-13)
+
+
 @pytest.fixture(scope="module")
 def grid_surface():
     params = ProblemParams(D, P, 1.0, "surface")
