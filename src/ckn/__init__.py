@@ -10,7 +10,6 @@ threshold tied to the Gagliardo-Nirenberg constant.
 from .analysis import (
     Crossing,
     ThetaCurve,
-    best_constant,
     curve_values,
     detect_crossing,
     lambda_FS,

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .continuation import ASYMMETRY_BIFURCATED
 from .errors import AmbiguousCrossingError
 from .model import ProblemParams, theta_critical
 from .symmetric import J_sym_theta, lambda_sym_theta
-
-SYMMETRIC_FLAG_ASYMMETRY = 1e-3
 
 
 @dataclass
@@ -72,7 +71,7 @@ def map_to_theta(branch, theta: float) -> ThetaCurve:
     order = np.argsort(mu)
     return ThetaCurve(
         theta=theta, mu=mu[order], Lambda=Lam[order], J=J[order],
-        symmetric=asym[order] <= SYMMETRIC_FLAG_ASYMMETRY,
+        symmetric=asym[order] <= ASYMMETRY_BIFURCATED,
     )
 
 
@@ -91,13 +90,6 @@ def lambda_FS(p: float, theta: float, d: int) -> float:
     if p <= 2:
         raise ValueError(f"p must exceed 2, got {p}")
     return 4.0 * (d - 1.0) / (p * p - 4.0) * ((2.0 * theta - 1.0) * p + 2.0) / (p + 2.0)
-
-
-def best_constant(J: float) -> float:
-    """Candidate optimal constant: reciprocal of the minimal quotient."""
-    if J <= 0:
-        raise ValueError(f"J must be positive, got {J}")
-    return 1.0 / J
 
 
 @dataclass

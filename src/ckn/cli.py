@@ -37,21 +37,10 @@ def _load_config(args) -> io.RunConfig:
         config = io.RunConfig.load(args.config)
     else:
         config = io.RunConfig()
-    overrides = {}
-    for flag, name in [
-        ("d", "d"), ("p", "p"), ("theta", "theta_list"),
-        ("measure_mode", "measure_mode"), ("L", "L"), ("ns", "n_s"),
-        ("nphi", "n_phi"), ("mu0_factor", "mu0_factor"), ("eps", "eps"),
-        ("eta", "eta"), ("kappa_stop", "kappa_stop"), ("out", "out"),
-    ]:
-        v = getattr(args, flag, None)
-        if v is not None:
-            overrides[name] = v
-    if overrides:
-        data = dataclasses.asdict(config)
-        data.update(overrides)
-        config = io.RunConfig(**data)
-    return config
+    # every flag's dest is the RunConfig field it overrides
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(io.RunConfig)
+                 if getattr(args, f.name, None) is not None}
+    return dataclasses.replace(config, **overrides)
 
 
 def _grid(config: io.RunConfig):
@@ -146,7 +135,7 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
         },
         "provenance": {
             "mu0": config.mu0_factor * mu_fs, "eps": config.eps,
-            "seed_direction": ("ray minimum along the transverse mode phi1(s) cos(phi), "
+            "seed_direction": ("ray minimum along the transverse mode u_sym(s)^(p/2) cos(phi), "
                                "solved at kappa_sym(mu0)"),
         },
         "stopped": None if stopped is None else str(stopped),
@@ -156,11 +145,11 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
     return [path, manifest]
 
 
-def _branch_curves_from_csv(path, theta: float):
-    comments, header, rows = io.read_csv(path)
+def _branch_curves_from_csv(header, rows, theta: float):
+    """The theta curve of the parsed branch.csv columns `header` and `rows`."""
     tag = f"Lambda_{_theta_tag(theta)}"
     if tag not in header:
-        raise ConfigError(f"{path} has no columns for theta={theta}")
+        raise ConfigError(f"branch.csv has no columns for theta={theta}")
     iL, iJ = header.index(tag), header.index(f"J_{_theta_tag(theta)}")
     i_mu, i_asym = header.index("mu"), header.index("asymmetry")
     mu = np.array([r[i_mu] for r in rows])
@@ -170,7 +159,7 @@ def _branch_curves_from_csv(path, theta: float):
     order = np.argsort(mu)
     return analysis.ThetaCurve(
         theta=theta, mu=mu[order], Lambda=Lam[order], J=J[order],
-        symmetric=asym[order] <= analysis.SYMMETRIC_FLAG_ASYMMETRY)
+        symmetric=asym[order] <= continuation.ASYMMETRY_BIFURCATED)
 
 
 def _field_contour_csv(config, out: Path, name: str, field) -> Path:
@@ -208,7 +197,7 @@ def cmd_analyze(config: io.RunConfig, out: Path) -> list[Path]:
 
     crossing_rows = []
     for theta in config.theta_list:
-        nonsym = _branch_curves_from_csv(branch_csv, theta)
+        nonsym = _branch_curves_from_csv(header_b, rows_b, theta)
         mu_hi = max(nonsym.mu.max() * 1.2, 4.0 * mu_fs)
         sym_smooth = analysis.symmetric_theta_curve(
             params, theta, np.geomspace(config.mu_min_factor * mu_fs * 0.5, mu_hi, 600))
@@ -250,12 +239,9 @@ def cmd_analyze(config: io.RunConfig, out: Path) -> list[Path]:
             i_mu, i_cp = header_b.index("mu"), header_b.index("checkpoint")
             cands = [r for r in rows_b if isinstance(r[i_cp], str) and r[i_cp]]
             near = min(cands, key=lambda r: abs(r[i_mu] - crossing.mu1))
-            try:
-                fld = io.FieldStore(out / "checkpoints").load(near[i_cp])
-                files.append(_field_contour_csv(
-                    config, out, f"crossing_field_mu1_{_theta_tag(theta)}.csv", fld))
-            except CknError:
-                pass
+            fld = io.FieldStore(out / "checkpoints").load(near[i_cp])
+            files.append(_field_contour_csv(
+                config, out, f"crossing_field_mu1_{_theta_tag(theta)}.csv", fld))
             u_star = soliton(crossing.mu1_star, config.p).sample(grid)
             files.append(_field_contour_csv(
                 config, out, f"crossing_field_mu1_star_{_theta_tag(theta)}.csv", u_star))
@@ -324,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=str, default=None, help="JSON config file")
         sp.add_argument("--d", type=int)
         sp.add_argument("--p", type=float)
-        sp.add_argument("--theta", type=float, nargs="+")
+        sp.add_argument("--theta", dest="theta_list", type=float, nargs="+")
         sp.add_argument("--L", type=float)
-        sp.add_argument("--ns", type=int)
-        sp.add_argument("--nphi", type=int)
+        sp.add_argument("--ns", dest="n_s", type=int)
+        sp.add_argument("--nphi", dest="n_phi", type=int)
         sp.add_argument("--measure-mode", dest="measure_mode",
                         choices=("probability", "surface"))
         sp.add_argument("--mu0-factor", dest="mu0_factor", type=float)

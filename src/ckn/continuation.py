@@ -1,11 +1,12 @@
 """Non-symmetric branch construction: a start point, then kappa stepping.
 
 Above the stability threshold the symmetric soliton is a saddle of the
-theta = 1 quotient.  `initialize` moves it along the transverse mode to
-the minimum of the quotient on that ray and solves the fixed point from
-there at the soliton's own closed-form level.  `continue_branch` then
-steps kappa in either direction, reusing the previous potential and
-eigenfunction, halving the step on failures.
+theta = 1 quotient.  `initialize` moves it along the closed-form
+transverse mode to the minimum of the quotient on that ray and solves the
+fixed point from there at the soliton's own closed-form level.
+`continue_branch` then steps kappa in either direction, reusing the
+previous potential and eigenfunction, halving the step on failures; the
+down walk ends on the exact discrete symmetric point past the bifurcation.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from .symmetric import critical_value_sym, discrete_soliton, mu_FS, soliton, tra
 ASYMMETRY_SYMMETRIC = 1e-4
 ASYMMETRY_BIFURCATED = 1e-3
 MAX_POINTS = 2000
-# the Anderson-mixed fixed point needs tens of iterations even next to the
-# bifurcation, so this caps a failing solve rather than budgets a slow one
-FP_MAX_ITER = 1200
 
 
 def asymmetry(u: Field) -> float:
@@ -79,9 +77,6 @@ class Branch:
 
     def kappas(self) -> np.ndarray:
         return np.array([pt.kappa for pt in self.points])
-
-    def mus(self) -> np.ndarray:
-        return np.array([pt.mu for pt in self.points])
 
     def __post_init__(self):
         ks = self.kappas()
@@ -159,10 +154,17 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
     return point, fp
 
 
-def _angular_average(u: Field) -> Field:
-    g = u.grid
-    avg = (u.values @ g.wphi) / g.wphi.sum()
-    return Field(g, np.repeat(avg[:, None], g.n_phi, axis=1))
+def _discrete_point(kappa: float, grid: CylinderGrid, params: ProblemParams,
+                    store: FieldStore | None = None) -> BranchPoint:
+    """The angular-constant critical point at kappa (`discrete_soliton`) as a
+    branch point certified by its eqmu_residual, checkpointed into `store`
+    when one is given."""
+    mu, v = discrete_soliton(kappa, params, grid)
+    u = Field(grid, np.repeat(v[:, None], grid.n_phi, axis=1))
+    X, Y, Z = evaluate_norms(u)
+    return BranchPoint(kappa=kappa, mu=mu, X=X, Y=Y, Z=Z, t=X / Y, asymmetry=asymmetry(u),
+                       field_ref=store.save(u) if store is not None else "",
+                       residual=eqmu_residual(u, mu))
 
 
 def _predict(cur: Field, prev: Field | None, ratio: float) -> Field:
@@ -182,17 +184,20 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     and eigenfunction seed the first step.
 
     direction "down" walks toward the bifurcation and stops once the point
-    is symmetric (asymmetry < 1e-4) or mu <= mu_FS, then extends the branch
-    with closed-form symmetric points down to mu_min_factor * mu_FS;
-    "up" walks until kappa_stop.  eta halves on a failed step (no
+    is symmetric (asymmetry < 1e-4) or mu <= mu_FS.  Within 1.5 eta of
+    the bifurcation level kappa_FS, where the amplitude mode slows
+    critically, it instead ends on the angular-constant critical point of
+    the grid functional at kappa_FS - eta/2 (`discrete_soliton`), unless
+    that level is not positive.  It then extends the branch with
+    closed-form symmetric points down to mu_min_factor * mu_FS.  "up"
+    walks until kappa_stop.  eta halves on a failed step (no
     convergence, mu <= 0, any CknError from the solver, or a jump past the
     continuity guard) and recovers afterwards; each halving appends
     {"kappa", "reason"} (plus "du" and "bound" for the guard) to
     provenance["halving_reasons"].  Below eta/64 the walk raises
     StepFailureError, whose `branch` holds the points collected so far.
-
-    Once kappa drops below the closed-form bifurcation level the seed is
-    symmetrized, which removes the asymmetric transient altogether.
+    provenance["computed_points"] counts the start and the fixed-point
+    points.
     """
     if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction}")
@@ -213,44 +218,37 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     eta_cur = eta
     V_prev = u_prev = None
     kappa_prev = None
+    end = None
     while len(points) < MAX_POINTS:
-        kappa_next = kappa + sign * eta_cur
         if direction == "down" and kappa - kappa_fs < 1.5 * eta:
             # the amplitude mode slows critically right above the
-            # bifurcation, so once within reach jump past it in one step
-            kappa_next = min(kappa_next, kappa_fs - 0.5 * eta)
+            # bifurcation, so once within reach end on the exact symmetric
+            # point past it
+            if kappa_fs > 0.5 * eta:
+                end = _discrete_point(kappa_fs - 0.5 * eta, grid, params, store)
+            break
+        kappa_next = kappa + sign * eta_cur
         if direction == "up" and kappa_next > kappa_stop:
             break
-        if kappa_next <= 0:
-            break
 
-        crossing = direction == "down" and kappa_next < kappa_fs
-        if crossing:
-            # past the bifurcation the target is symmetric: seed it directly
-            V0 = self_potential(_angular_average(u_warm))
-            u0 = _angular_average(u_warm)
-        else:
-            ratio = 0.0 if kappa_prev is None else (kappa_next - kappa) / (kappa - kappa_prev)
-            V0 = _predict(V, V_prev, ratio)
-            V0 = Field(grid, np.maximum(V0.values, 0.0))
-            V0 = Field(grid, V0.values / q_norm(V0))
-            u0 = _predict(u_warm, u_prev, ratio)
+        ratio = 0.0 if kappa_prev is None else (kappa_next - kappa) / (kappa - kappa_prev)
+        V0 = _predict(V, V_prev, ratio)
+        V0 = Field(grid, np.maximum(V0.values, 0.0))
+        V0 = Field(grid, V0.values / q_norm(V0))
+        u0 = _predict(u_warm, u_prev, ratio)
         failure = None
         try:
             fp = roothan_solve(kappa_next, V0, grid, params, warm_start=u0,
-                               cache=cache, tol=tol, eigen_tol=eigen_tol,
-                               max_iter=FP_MAX_ITER)
+                               cache=cache, tol=tol, eigen_tol=eigen_tol)
             if not fp.converged:
                 failure = {"reason": "not converged"}
             elif not fp.mu_positive:
                 failure = {"reason": "mu <= 0"}
         except CknError as exc:
             failure = {"reason": type(exc).__name__}
-        if failure is None and not (crossing and asymmetry(fp.u) < ASYMMETRY_SYMMETRIC):
+        if failure is None:
             # continuity guard against the nominal step: halving the actual
-            # step shrinks du until the bound is met.  The guard is waived
-            # for the bifurcation crossing, where dropping the asymmetric
-            # component is the expected jump.
+            # step shrinks du until the bound is met
             du = math.sqrt(Field(grid, fp.u.values - u_warm.values).norm_sq())
             bound = 5.0 * eta / max(kappa_next, 1e-12) + 1e-8
             if du > bound:
@@ -277,8 +275,10 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
             if pt.asymmetry < ASYMMETRY_SYMMETRIC or pt.mu <= mu_fs:
                 break
 
-    terminal = points[-1]
     n_computed = len(points)
+    if end is not None:
+        points.append(end)
+    terminal = points[-1]
     if direction == "down":
         # convention: extend below the bifurcation with the symmetric family
         mu_lo = max(points[-1].mu * 0.999, mu_min_factor * mu_fs)
@@ -311,13 +311,8 @@ def symmetric_discrete_branch(kappas, grid: CylinderGrid, params: ProblemParams)
     discretization bias.  Raises NonConvergenceError naming the kappa
     whose Newton solve failed.
     """
-    points = []
-    for kappa in sorted(float(k) for k in kappas):
-        mu, v = discrete_soliton(kappa, params, grid)
-        u = Field(grid, np.repeat(v[:, None], grid.n_phi, axis=1))
-        X, Y, Z = evaluate_norms(u)
-        points.append(BranchPoint(kappa=kappa, mu=mu, X=X, Y=Y, Z=Z, t=X / Y,
-                                  asymmetry=asymmetry(u)))
+    points = [_discrete_point(kappa, grid, params)
+              for kappa in sorted(float(k) for k in kappas)]
     return Branch(params=params, points=points, provenance={"family": "symmetric-sector"})
 
 

@@ -68,8 +68,6 @@ class CylinderOperator:
 
     def __init__(self, kappa: float, V: Field, grid: CylinderGrid):
         self.grid = grid
-        self.kappa = kappa
-        self.V = V
         self.isq = 1.0 / np.sqrt(grid.m)
         self.n = grid.m.size
         self.kv = kappa * grid.restrict(V.values) if kappa != 0.0 else np.zeros(self.n)
@@ -85,14 +83,6 @@ class CylinderOperator:
 
     def from_field(self, u: Field) -> np.ndarray:
         return self.grid.restrict(u.values) / self.isq
-
-    def apply(self, u: Field) -> Field:
-        """Pointwise action (M^-1 K - kappa V) u on the interior nodes."""
-        g = self.grid
-        act = g.action(u.values)
-        if self.kappa != 0.0:
-            act = act - self.kv * g.restrict(u.values)
-        return Field(g, g.embed(act))
 
 
 def q_norm(V: Field) -> float:

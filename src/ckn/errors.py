@@ -14,7 +14,7 @@ class NormalizationError(CknError):
 
 
 class MonotonicityError(CknError):
-    """The fixed-point eigenvalue history rose or broke its lower bound."""
+    """The fixed-point eigenvalue history rose."""
 
 
 class PositivityError(CknError):

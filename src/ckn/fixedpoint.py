@@ -183,16 +183,10 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
         raise NonConvergenceError("roothan_solve made no iterations")
 
     mu = -history[-1]
-    hist = np.asarray(history)
-    # Sanity: a monotone sequence converging to -mu never dips below it by much.
-    if hist.min() < -abs(mu) - 1.0:
-        raise MonotonicityError(
-            f"eigenvalue history {hist.min()} broke its lower bound {-abs(mu) - 1.0}")
-
     u_eq = rescale_to_eqmu(res.u, kappa)
     return FixedPointResult(
         kappa=kappa, mu=mu, u=res.u, u_eq=u_eq, V=V,
-        lambda_history=hist, converged=converged, mu_positive=mu > 0,
+        lambda_history=np.asarray(history), converged=converged, mu_positive=mu > 0,
         iterations=len(history), eigen_iterations=eig_total, lu_solves=lu_total,
         residual=eqmu_residual(u_eq, mu), gap=gap,
     )

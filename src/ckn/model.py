@@ -61,11 +61,6 @@ class ProblemParams:
         if self.measure_mode not in MEASURE_MODES:
             raise ValueError(f"measure_mode must be one of {MEASURE_MODES}")
 
-    @property
-    def q(self) -> float:
-        """Dual exponent p/(p-2) normalizing the potentials."""
-        return self.p / (self.p - 2.0)
-
 
 @dataclass(frozen=True, eq=False)
 class CylinderGrid:
@@ -115,9 +110,6 @@ class CylinderGrid:
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.einsum("i,j,ij->", self.ws, self.wphi, values))
-
-    def params(self, theta: float = 1.0) -> ProblemParams:
-        return ProblemParams(self.d, self.p, theta, self.measure_mode)
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
         """Interior dofs of a nodal table, flattened in s-major order."""

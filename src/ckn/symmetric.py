@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import solve_banded
 
 from .errors import NonConvergenceError
 from .model import CylinderGrid, Field, ProblemParams, sphere_area
@@ -144,26 +144,18 @@ def _banded_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transverse_operator_1d(mu: float, params: ProblemParams, grid: CylinderGrid):
-    """Banded matrix of -d2/ds2 + mu + d-1 - (p-1) u_sym^(p-2) on the interior s nodes."""
-    sol = soliton(mu, params.p)
-    pot = mu + params.d - 1.0 - (params.p - 1.0) * sol.u(grid.s[1:-1]) ** (params.p - 2.0)
-    return _schrodinger_1d(pot, grid.h_s)
-
-
 def transverse_mode(mu: float, params: ProblemParams, grid: CylinderGrid):
     """Ground state of the transverse linearization and its eigenvalue.
 
-    Returns (lam1, w) where w(s, phi) = phi1(s) cos(phi) is normalized to
-    unit weighted L2 norm on `grid`.  lam1 approximates d-1+mu-mu p^2/4.
+    -d2/ds2 + mu + d-1 - (p-1) u_sym^(p-2) has the ground state u_sym^(p/2)
+    with eigenvalue lambda1_H(mu, p, d).  Returns (lam1, w) where
+    w(s, phi) = u_sym(s)^(p/2) cos(phi) is normalized to unit weighted L2
+    norm on `grid`.
     """
-    ab = _transverse_operator_1d(mu, params, grid)
-    lam, x = eigh_tridiagonal(ab[1], ab[0, 1:], select="i", select_range=(0, 0))
-    phi1 = np.zeros(grid.n_s)
-    phi1[1:-1] = x[:, 0] if x[:, 0].sum() > 0 else -x[:, 0]
+    phi1 = soliton(mu, params.p).u(grid.s) ** (0.5 * params.p)
     w = Field(grid, phi1[:, None] * np.cos(grid.phi)[None, :])
     nrm = math.sqrt(w.norm_sq())
-    return float(lam[0]), Field(grid, w.values / nrm)
+    return lambda1_H(mu, params.p, params.d), Field(grid, w.values / nrm)
 
 
 def discrete_soliton(kappa: float, params: ProblemParams, grid: CylinderGrid):

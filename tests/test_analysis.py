@@ -3,7 +3,6 @@ import pytest
 
 from ckn.analysis import (
     ThetaCurve,
-    best_constant,
     curve_values,
     detect_crossing,
     lambda_FS,
@@ -71,14 +70,6 @@ def test_simplified_J_matches_direct_quotient():
         assert J == pytest.approx(simplified, rel=1e-12)
         # direct evaluation of the quotient at the mapped parameter
         assert J == pytest.approx(evaluate_Q(u, lam, theta), rel=1e-10)
-
-
-def test_best_constant():
-    assert best_constant(1.0) == 1.0
-    assert best_constant(15.65) == pytest.approx(0.0639, abs=1e-4)
-    assert best_constant(0.5) > best_constant(2.0)
-    with pytest.raises(ValueError):
-        best_constant(0.0)
 
 
 def _line_curve(theta, lams, js, mus=None, symmetric=False):

@@ -133,6 +133,37 @@ def test_down_branch_reaches_bifurcation(mini_branch):
     assert min(pt.mu for pt in below) <= 0.11 * mufs
 
 
+def test_down_walk_ends_on_discrete_soliton(mini_branch, coarse):
+    # within 1.5 eta of kappa_FS the walk takes no fixed-point step: its
+    # terminal point is the angular-constant grid solution at kappa_FS - eta/2
+    store, _, _, down, _ = mini_branch
+    g, params, _ = coarse
+    kfs = critical_value_sym(mu_FS(P, D), params)
+    (end,) = [pt for pt in down.points if pt.kappa == kfs - 0.5 * down.provenance["eta"]]
+    mu, v = discrete_soliton(end.kappa, params, g)
+    u = store.load(end.field_ref, g)
+    np.testing.assert_array_equal(u.values, np.repeat(v[:, None], g.n_phi, axis=1))
+    assert end.mu == mu == down.provenance["terminal_mu"]
+    assert end.residual == eqmu_residual(u, mu) <= 1e-10 * np.sqrt(u.norm_sq())
+    assert np.all(np.isnan([end.gap, end.iterations, end.eigen_iterations, end.lu_solves]))
+    computed = [pt for pt in down.points if np.isfinite(pt.gap)]
+    assert down.provenance["computed_points"] == len(computed)
+    assert min(pt.kappa for pt in computed) - kfs < 1.5 * down.provenance["eta"]
+
+
+def test_down_walk_with_step_past_zero_has_no_terminal_point(mini_branch, coarse):
+    # kappa_FS - eta/2 <= 0: the walk ends at once, with neither a fixed-point
+    # solve nor a discrete point
+    store, start, fp, _, _ = mini_branch
+    g, params, cache = coarse
+    kfs = critical_value_sym(mu_FS(P, D), params)
+    down = continue_branch(start, 2.0 * kfs, "down", 0.0, g, params, store,
+                           start_result=fp, cache=cache)
+    assert down.provenance["computed_points"] == 1
+    assert down.provenance["terminal_mu"] == start.mu
+    assert all(pt.asymmetry == 0.0 for pt in down.points if pt is not start)
+
+
 def test_energy_ordering_along_branch(mini_branch):
     _, _, _, down, up = mini_branch
     params = ProblemParams(D, P, 1.0, "surface")

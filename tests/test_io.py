@@ -364,6 +364,32 @@ def test_cli_branch_stall_keeps_partial_results(tmp_path, monkeypatch):
         assert asymmetry(store.load(row[i_cp])) == pytest.approx(row[i_asym], abs=1e-12)
 
 
+def test_cli_analyze_fails_on_damaged_crossing_checkpoint(tmp_path, capsys):
+    # p = 2.78 on 48x10 has one unambiguous crossing; the field written for
+    # it comes from the branch checkpoint nearest mu1, and a damaged one is
+    # an error, not a silently missing file
+    cfg = _tiny_config(tmp_path, p=2.78, theta_list=[0.714286], eta=0.7, kappa_stop=18.5)
+    assert cli.main(["branch", "--config", str(cfg)]) == 0
+    assert cli.main(["analyze", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert (out / "crossing_field_mu1_0.714286.csv").exists()
+    _, header, rows = read_csv(out / "crossings.csv")
+    (crossing,) = rows
+    assert crossing[header.index("found")] == "true"
+    assert crossing[header.index("ambiguous")] == "false"
+    mu1 = crossing[header.index("mu1")]
+    _, bheader, brows = read_csv(out / "branch.csv")
+    i_mu, i_cp = bheader.index("mu"), bheader.index("checkpoint")
+    near = min(brows, key=lambda r: abs(r[i_mu] - mu1))
+    path = out / "checkpoints" / f"{near[i_cp]}.ckn"
+    raw = bytearray(path.read_bytes())
+    raw[100] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", str(cfg)]) != 0
+    assert "checksum mismatch" in capsys.readouterr().err
+
+
 def test_cli_reproduce_figures_smoke(tmp_path):
     cfg = _tiny_config(tmp_path, theta_list=[0.72, 1.0], n_s=48, n_phi=10,
                        eta=0.7, kappa_stop=18.5)

@@ -167,36 +167,61 @@ def grid_surface():
     return build_grid(8.0, 600, 16, params), params
 
 
+def transverse_residual(mu, s, f, lam):
+    """Three-point residual of -f'' + (mu + d-1 - (p-1) u_sym^(p-2)) f - lam f
+    on the interior of the uniform nodes s."""
+    pot = mu + D - 1.0 - (P - 1.0) * soliton(mu, P).u(s[1:-1]) ** (P - 2.0)
+    h = s[1] - s[0]
+    return (-f[2:] + 2.0 * f[1:-1] - f[:-2]) / h**2 + (pot - lam) * f[1:-1]
+
+
+def transverse_profile(g, w):
+    """s-profile of a field separable as profile(s) cos(phi)."""
+    j = np.argmax(np.cos(g.phi))
+    f = w.values[:, j] / np.cos(g.phi[j])
+    np.testing.assert_allclose(w.values, np.outer(f, np.cos(g.phi)), rtol=0, atol=1e-15)
+    return f
+
+
+def check_transverse_eigenpair(g, params, mu, tol):
+    """The returned pair is the lowest eigenpair of the three-point
+    transverse operator on the grid up to O(h^2): Rayleigh quotient at
+    lam1, small residual, one-signed profile."""
+    lam1, w = transverse_mode(mu, params, g)
+    f = transverse_profile(g, w)
+    x = f[1:-1]
+    r = transverse_residual(mu, g.s, f, 0.0)
+    assert x @ r / (x @ x) == pytest.approx(lam1, **tol)
+    assert np.linalg.norm(r - lam1 * x) <= 1e-2 * np.linalg.norm(x)
+    assert np.all(f > 0)
+    return lam1
+
+
 def test_transverse_eigenvalue_at_threshold(grid_surface):
     g, params = grid_surface
-    lam1, _ = transverse_mode(mu_FS(P, D), params, g)
-    assert abs(lam1) < 1e-3
+    assert check_transverse_eigenpair(g, params, mu_FS(P, D), {"abs": 1e-3}) == 0.0
 
 
 @pytest.mark.parametrize("factor, tol", [(1.2, {"abs": 1e-3}), (3.0, {"rel": 1e-3})],
                          ids=["1.2", "3.0"])
 def test_transverse_eigenvalue_above_threshold(grid_surface, factor, tol):
-    # the lowest eigenpair: a one-signed s-profile at the closed-form value
     g, params = grid_surface
-    mu = factor * mu_FS(P, D)
-    lam1, w = transverse_mode(mu, params, g)
-    assert lam1 == pytest.approx(lambda1_H(mu, P, D), **tol)
-    assert lam1 < 0
-    profile = w.values[1:-1, np.argmax(np.cos(g.phi))]
-    assert np.all(profile > 0)
+    assert check_transverse_eigenpair(g, params, factor * mu_FS(P, D), tol) < 0
 
 
-def test_transverse_mode_discretization_order():
-    params = ProblemParams(D, P, 1.0, "surface")
-    mu = 1.2 * mu_FS(P, D)
-    exact = lambda1_H(mu, P, D)
-    errs = []
-    for n in (151, 301, 601):
-        g = build_grid(8.0, n, 8, params)
-        lam1, _ = transverse_mode(mu, params, g)
-        errs.append(abs(lam1 - exact))
-    order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
-    assert min(order) >= 1.8
+def test_transverse_mode_residual_second_order():
+    # the closed-form pair (u_sym^(p/2), lambda1_H) solves the continuous
+    # transverse equation: its three-point residual falls as h^2
+    for factor in (1.0, 1.2, 3.0):
+        mu = factor * mu_FS(P, D)
+        lam = lambda1_H(mu, P, D)
+        errs = []
+        for n in (151, 301, 601):
+            s = np.linspace(-8.0, 8.0, n)
+            f = soliton(mu, P).u(s) ** (P / 2.0)
+            errs.append(np.max(np.abs(transverse_residual(mu, s, f, lam))) / np.max(f))
+        order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
+        assert min(order) >= 1.9
 
 
 def test_descent_direction_properties(grid_surface):
