@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, continuation, gn, io, svg
-from .errors import CknError, ConfigError, NonConvergenceError, StepFailureError
+from .errors import CheckpointError, CknError, ConfigError, NonConvergenceError, StepFailureError
 from .eigensolver import SolverCache
 from .model import build_grid, theta_critical
 from .symmetric import critical_value_sym, mu_FS, soliton, soliton_norms, t_symmetric
@@ -82,25 +82,32 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
     cache = SolverCache()
     mu_fs = mu_FS(config.p, config.d)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     start, fp = continuation.initialize(
         config.mu0_factor * mu_fs, config.eps, grid, params, store, cache,
         tol=config.tol, eigen_tol=config.eigen_tol)
+    # a walk that never starts (after a stall) takes 0 s
+    timings = {"initialize_seconds": time.perf_counter() - t0,
+               "down_seconds": 0.0, "up_seconds": 0.0}
     eta = config.eta if config.eta is not None else start.kappa / 200.0
     kappa_stop = config.kappa_stop if config.kappa_stop is not None else 2.0 * start.kappa
     walks, stopped = [], None
-    try:
-        for direction, stop in (("down", 0.0), ("up", kappa_stop)):
+    for direction, stop in (("down", 0.0), ("up", kappa_stop)):
+        t_walk = time.perf_counter()
+        try:
             walks.append(continuation.continue_branch(
                 start, eta, direction, stop, grid, params, store, start_result=fp,
                 cache=cache, mu_min_factor=config.mu_min_factor, tol=config.tol,
                 eigen_tol=config.eigen_tol))
-    except StepFailureError as exc:
-        # keep what the stalled walk collected; the error still exits 3
-        walks.append(exc.branch)
-        stopped = exc
+        except StepFailureError as exc:
+            # keep what the stalled walk collected; the error still exits 3
+            walks.append(exc.branch)
+            stopped = exc
+        timings[f"{direction}_seconds"] = time.perf_counter() - t_walk
+        if stopped is not None:
+            break
     branch = functools.reduce(continuation.merge_branches, walks)
-    elapsed = time.time() - t0
+    timings["branch_seconds"] = time.perf_counter() - t0
 
     header = ["kappa", "mu"]
     for theta in config.theta_list:
@@ -123,7 +130,7 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
     manifest = out / "manifest.json"
     n_points = {w.provenance["direction"]: len(w.points) for w in walks}
     io.write_manifest(manifest, config, {
-        "timings": {"branch_seconds": elapsed},
+        "timings": timings,
         "convergence": {
             "eta": eta,
             "eta_halvings": sum(w.provenance["halvings"] for w in walks),
@@ -135,7 +142,8 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
         },
         "provenance": {
             "mu0": config.mu0_factor * mu_fs, "eps": config.eps,
-            "seed_direction": ("ray minimum along the transverse mode u_sym(s)^(p/2) cos(phi), "
+            "seed_direction": ("golden-section minimum of the theta = 1 quotient on the ray "
+                               "from u_sym along the transverse mode u_sym(s)^(p/2) cos(phi), "
                                "solved at kappa_sym(mu0)"),
         },
         "stopped": None if stopped is None else str(stopped),
@@ -337,7 +345,7 @@ def main(argv=None) -> int:
     except (NonConvergenceError, StepFailureError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (OSError, FileNotFoundError) as exc:
+    except (OSError, CheckpointError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except CknError as exc:

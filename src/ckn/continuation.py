@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .errors import CknError, StepFailureError, SymmetricFallbackError
+from .errors import CknError, NonConvergenceError, StepFailureError, SymmetricFallbackError
 from .eigensolver import SolverCache, q_norm
 from .fixedpoint import FixedPointResult, eqmu_residual, roothan_solve, self_potential
 from .io import FieldStore
@@ -27,6 +26,9 @@ from .symmetric import critical_value_sym, discrete_soliton, mu_FS, soliton, tra
 ASYMMETRY_SYMMETRIC = 1e-4
 ASYMMETRY_BIFURCATED = 1e-3
 MAX_POINTS = 2000
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+RAY_WIDTH = 1e-4
+RAY_MAX_DOUBLINGS = 60
 
 
 def asymmetry(u: Field) -> float:
@@ -107,6 +109,38 @@ def _symmetric_point(mu: float, grid: CylinderGrid, params: ProblemParams,
                        asymmetry=0.0, field_ref=cid, residual=eqmu_residual(u, mu))
 
 
+def _ray_minimum(f, eps: float) -> float:
+    """A local minimizer of f on a > 0, to within RAY_WIDTH / 2.
+
+    The bracket opens at eps and 2 eps and doubles while f still falls,
+    which leaves lo < mid < hi with f(mid) < f(hi); a golden section then
+    shrinks [lo, hi] to RAY_WIDTH and returns its midpoint.  Raises
+    NonConvergenceError if f still falls after RAY_MAX_DOUBLINGS doublings.
+    """
+    lo, mid, hi = 0.0, eps, 2.0 * eps
+    f_mid, f_hi = f(mid), f(hi)
+    doublings = 0
+    while f_hi < f_mid:
+        if doublings == RAY_MAX_DOUBLINGS:
+            raise NonConvergenceError(f"ray quotient still falls after {doublings} "
+                                      f"doublings: E({hi:.6g}) = {f_hi:.10g}")
+        lo, mid, hi = mid, hi, 2.0 * hi
+        f_mid, f_hi = f_hi, f(hi)
+        doublings += 1
+    c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+    f_c, f_d = f(c), f(d)
+    while hi - lo > RAY_WIDTH:
+        if f_c < f_d:
+            hi, d, f_d = d, c, f_c
+            c = hi - GOLDEN * (hi - lo)
+            f_c = f(c)
+        else:
+            lo, c, f_c = c, d, f_d
+            d = lo + GOLDEN * (hi - lo)
+            f_d = f(d)
+    return 0.5 * (lo + hi)
+
+
 def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams,
                store: FieldStore, cache: SolverCache | None = None,
                tol: float = 1e-10, eigen_tol: float = 1e-9
@@ -114,8 +148,9 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
     """Find the point of the non-symmetric branch at the level of the soliton mu0.
 
     The seed is |u_sym + a* w| on the ray from the sampled soliton u_sym
-    along the transverse mode w (scaled to the norm of u_sym), with a*
-    minimizing the theta = 1 quotient at mu0 along the ray; eps (> 0) is
+    along the transverse mode w (scaled to the norm of u_sym), with a* > 0
+    the golden-section minimum of the theta = 1 quotient at mu0 along the
+    ray (the quotient is even in a: a -> -a reflects phi); eps (> 0) is
     the first probe of the bracket search for a*.  One fixed-point solve
     at the closed-form level kappa0 = critical_value_sym(mu0) turns the
     seed into the start point, so the start depends on mu0 and the grid
@@ -139,7 +174,7 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
         X, Y, Z = evaluate_norms(ray(a))
         return (X + mu0 * Y) / Z ** (2.0 / p)
 
-    seed = ray(minimize_scalar(quotient, bracket=(0.0, eps)).x)
+    seed = ray(_ray_minimum(quotient, eps))
     seed = Field(grid, seed.values / math.sqrt(seed.norm_sq()))
     fp = roothan_solve(critical_value_sym(mu0, params), self_potential(seed), grid, params,
                        warm_start=seed, cache=cache, tol=tol, eigen_tol=eigen_tol)

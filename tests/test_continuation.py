@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ckn import symmetric
+from ckn import continuation, symmetric
 from ckn.continuation import (
+    _ray_minimum,
     Branch,
     BranchPoint,
     asymmetry,
@@ -102,6 +103,42 @@ def test_initialize_start_is_set_by_mu0_and_grid(coarse, tmp_path_factory):
     assert starts[1].mu == pytest.approx(starts[0].mu, rel=1e-12)
     with pytest.raises(ValueError):
         initialize(mu0, 0.0, g, params, store, cache)
+
+
+def test_ray_minimum_on_a_parabola():
+    # bracketed by doubling from eps below the minimum, and from an eps past it
+    for eps in (0.05, 1.0):
+        assert _ray_minimum(lambda a: (a - 0.3) ** 2, eps) == pytest.approx(0.3, abs=5e-5)
+
+
+def test_ray_minimum_raises_on_a_falling_quotient():
+    calls = []
+
+    def falling(a):
+        calls.append(a)
+        return -a
+
+    with pytest.raises(NonConvergenceError, match="still falls"):
+        _ray_minimum(falling, 0.05)
+    assert len(calls) == continuation.RAY_MAX_DOUBLINGS + 2
+
+
+def test_initialize_start_sits_at_the_ray_minimum(coarse, tmp_path_factory, monkeypatch):
+    g, params, cache = coarse
+    found = []
+
+    def recording(f, eps):
+        a = _ray_minimum(f, eps)
+        found.append((f, a))
+        return a
+
+    monkeypatch.setattr(continuation, "_ray_minimum", recording)
+    store = FieldStore(tmp_path_factory.mktemp("ray"))
+    initialize(1.2 * mu_FS(P, D), 0.05, g, params, store, cache)
+    ((quotient, a),) = found
+    assert a > 0
+    assert quotient(a) <= quotient(a - 1e-3)
+    assert quotient(a) <= quotient(a + 1e-3)
 
 
 def test_branch_kappa_monotone(mini_branch):

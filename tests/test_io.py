@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ckn
 from ckn import cli, continuation
 from ckn.continuation import asymmetry
 from ckn.eigensolver import SolverCache
@@ -234,6 +239,11 @@ def test_cli_branch_outputs(cli_branch_run):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "eta_halvings" in manifest["convergence"]
     assert manifest["config"]["p"] == 2.8
+    timings = manifest["timings"]
+    phases = [timings[f"{phase}_seconds"] for phase in ("initialize", "down", "up")]
+    assert all(t > 0 for t in phases)
+    assert sum(phases) <= timings["branch_seconds"]
+    assert "golden-section" in manifest["provenance"]["seed_direction"]
     # checkpoints referenced by the CSV exist on disk
     refs = [r[header.index("checkpoint")] for r in rows]
     store = FieldStore(out / "checkpoints")
@@ -386,8 +396,18 @@ def test_cli_analyze_fails_on_damaged_crossing_checkpoint(tmp_path, capsys):
     raw[100] ^= 0xFF
     path.write_bytes(bytes(raw))
     capsys.readouterr()
-    assert cli.main(["analyze", "--config", str(cfg)]) != 0
+    assert cli.main(["analyze", "--config", str(cfg)]) == 4
     assert "checksum mismatch" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # a fresh interpreter, so no other test's imports count
+    code = ("import sys, ckn.cli; ckn.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    src = str(Path(ckn.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_reproduce_figures_smoke(tmp_path):
