@@ -30,7 +30,6 @@ from .continuation import (
 from .eigensolver import EigenResult, SolverCache, lowest_eigenpair
 from .fixedpoint import (
     FixedPointResult,
-    critical_value,
     rescale_to_eqmu,
     roothan_solve,
     self_potential,

@@ -82,10 +82,18 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
     cache = SolverCache()
     mu_fs = mu_FS(config.p, config.d)
 
+    manifest = out / "manifest.json"
     t0 = time.perf_counter()
-    start, fp = continuation.initialize(
-        config.mu0_factor * mu_fs, config.eps, grid, params, store, cache,
-        tol=config.tol, eigen_tol=config.eigen_tol)
+    try:
+        start, fp = continuation.initialize(
+            config.mu0_factor * mu_fs, config.eps, grid, params, store, cache,
+            tol=config.tol, eigen_tol=config.eigen_tol)
+    except CknError as exc:
+        # a failed start saves no checkpoint, but its reason is kept
+        io.write_manifest(manifest, config, {
+            "timings": {"initialize_seconds": time.perf_counter() - t0},
+            "stopped": str(exc)})
+        raise
     # a walk that never starts (after a stall) takes 0 s
     timings = {"initialize_seconds": time.perf_counter() - t0,
                "down_seconds": 0.0, "up_seconds": 0.0}
@@ -97,8 +105,7 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
         try:
             walks.append(continuation.continue_branch(
                 start, eta, direction, stop, grid, params, store, start_result=fp,
-                cache=cache, mu_min_factor=config.mu_min_factor, tol=config.tol,
-                eigen_tol=config.eigen_tol))
+                cache=cache, tol=config.tol, eigen_tol=config.eigen_tol))
         except StepFailureError as exc:
             # keep what the stalled walk collected; the error still exits 3
             walks.append(exc.branch)
@@ -127,7 +134,6 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
     path = out / "branch.csv"
     io.write_csv(path, io.config_echo(config), header, rows)
 
-    manifest = out / "manifest.json"
     n_points = {w.provenance["direction"]: len(w.points) for w in walks}
     io.write_manifest(manifest, config, {
         "timings": timings,
@@ -223,10 +229,10 @@ def cmd_analyze(config: io.RunConfig, out: Path) -> list[Path]:
             crossing_rows.append((theta, crossing.Lambda1, crossing.mu1_star,
                                   crossing.mu1, "true", "true" if flagged else "false"))
 
-        lo = max(np.min(nonsym.Lambda), np.min(sym.Lambda))
+        lo = np.min(sym.Lambda)
         hi = min(np.max(nonsym.Lambda), np.max(sym.Lambda))
         grid_l = np.linspace(lo, hi, 400)
-        # the branch's symmetric rows only duplicate the reference
+        # the branch's symmetric terminal row only duplicates the reference
         rows, jumps = analysis.min_envelope([sym, nonsym.nonsymmetric()], grid_l)
         env_path = out / f"envelope_{_theta_tag(theta)}.csv"
         io.write_csv(env_path, io.config_echo(config) + [f"jumps: {jumps!r}"],

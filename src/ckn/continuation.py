@@ -97,18 +97,6 @@ def _branch_point(fp: FixedPointResult, store: FieldStore) -> BranchPoint:
     )
 
 
-def _symmetric_point(mu: float, grid: CylinderGrid, params: ProblemParams,
-                     store: FieldStore) -> BranchPoint:
-    from .symmetric import soliton_norms
-
-    X, Y, Z = soliton_norms(mu, params.p, params.d, params.measure_mode)
-    u = soliton(mu, params.p).sample(grid)
-    cid = store.save(u)
-    kappa = Z ** ((params.p - 2.0) / params.p)
-    return BranchPoint(kappa=kappa, mu=mu, X=X, Y=Y, Z=Z, t=X / Y,
-                       asymmetry=0.0, field_ref=cid, residual=eqmu_residual(u, mu))
-
-
 def _ray_minimum(f, eps: float) -> float:
     """A local minimizer of f on a > 0, to within RAY_WIDTH / 2.
 
@@ -178,15 +166,15 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
     seed = Field(grid, seed.values / math.sqrt(seed.norm_sq()))
     fp = roothan_solve(critical_value_sym(mu0, params), self_potential(seed), grid, params,
                        warm_start=seed, cache=cache, tol=tol, eigen_tol=eigen_tol)
-    point = _branch_point(fp, store)
-
+    # check before saving, so a fallback leaves no checkpoint behind
+    asym = asymmetry(fp.u_eq)
     j_sym = critical_value_sym(fp.mu, params) if fp.mu > 0 else np.inf
-    if point.asymmetry <= ASYMMETRY_BIFURCATED or fp.kappa >= j_sym:
+    if asym <= ASYMMETRY_BIFURCATED or fp.kappa >= j_sym:
         raise SymmetricFallbackError(
             f"start at mu0 = {mu0} fell back to the symmetric solution "
-            f"(asymmetry {point.asymmetry:.2e}, Q1 {fp.kappa:.6g} vs symmetric {j_sym:.6g})"
+            f"(asymmetry {asym:.2e}, Q1 {fp.kappa:.6g} vs symmetric {j_sym:.6g})"
         )
-    return point, fp
+    return _branch_point(fp, store), fp
 
 
 def _discrete_point(kappa: float, grid: CylinderGrid, params: ProblemParams,
@@ -211,8 +199,7 @@ def _predict(cur: Field, prev: Field | None, ratio: float) -> Field:
 def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: float,
                     grid: CylinderGrid, params: ProblemParams, store: FieldStore,
                     start_result: FixedPointResult, cache: SolverCache | None = None,
-                    mu_min_factor: float = 0.1, tol: float = 1e-10,
-                    eigen_tol: float = 1e-9) -> Branch:
+                    tol: float = 1e-10, eigen_tol: float = 1e-9) -> Branch:
     """Step kappa from `start` and collect converged points into a Branch.
 
     `start_result` is the fixed-point result behind `start`; its potential
@@ -223,16 +210,15 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     the bifurcation level kappa_FS, where the amplitude mode slows
     critically, it instead ends on the angular-constant critical point of
     the grid functional at kappa_FS - eta/2 (`discrete_soliton`), unless
-    that level is not positive.  It then extends the branch with
-    closed-form symmetric points down to mu_min_factor * mu_FS.  "up"
-    walks until kappa_stop.  eta halves on a failed step (no
-    convergence, mu <= 0, any CknError from the solver, or a jump past the
-    continuity guard) and recovers afterwards; each halving appends
-    {"kappa", "reason"} (plus "du" and "bound" for the guard) to
-    provenance["halving_reasons"].  Below eta/64 the walk raises
-    StepFailureError, whose `branch` holds the points collected so far.
-    provenance["computed_points"] counts the start and the fixed-point
-    points.
+    that level is not positive; it is the one point of a walk not
+    computed by the fixed point.  "up" walks until kappa_stop.  eta halves
+    on a failed step (no convergence, mu <= 0, any CknError from the
+    solver, or a jump past the continuity guard) and recovers afterwards;
+    each halving appends {"kappa", "reason"} (plus "du" and "bound" for
+    the guard) to provenance["halving_reasons"].  Below eta/64 the walk
+    raises StepFailureError, whose `branch` holds the points collected so
+    far.  provenance["computed_points"] counts the start and the
+    fixed-point points.
     """
     if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction}")
@@ -314,17 +300,6 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     if end is not None:
         points.append(end)
     terminal = points[-1]
-    if direction == "down":
-        # convention: extend below the bifurcation with the symmetric family
-        mu_lo = max(points[-1].mu * 0.999, mu_min_factor * mu_fs)
-        mu_end = mu_min_factor * mu_fs
-        if mu_end < mu_lo:
-            n_ext = max(2, int(np.ceil(np.log(mu_lo / mu_end) / np.log(1.06))))
-            for mu in np.geomspace(mu_lo, mu_end, n_ext):
-                pt = _symmetric_point(float(mu), grid, params, store)
-                if pt.kappa < points[-1].kappa:
-                    points.append(pt)
-
     ordered = sorted(points, key=lambda pt: pt.kappa)
     prov = {
         "direction": direction, "eta": eta, "kappa_stop": kappa_stop,

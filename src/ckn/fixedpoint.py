@@ -64,14 +64,6 @@ def rescale_to_eqmu(u: Field, kappa: float) -> Field:
     return Field(g, c * u.values)
 
 
-def critical_value(u_eq: Field, mu: float) -> float:
-    """Critical level ||u||_p^(p-2) = Z^((p-2)/p) of a solution of the
-    mu-equation; identical to its quotient at Lambda = mu, theta = 1."""
-    g = u_eq.grid
-    Z = g.integrate(np.abs(u_eq.values) ** g.p)
-    return Z ** ((g.p - 2.0) / g.p)
-
-
 def eqmu_residual(u_eq: Field, mu: float) -> float:
     """Weighted L2 norm of -Laplace u + mu u - u^(p-1) on the interior."""
     g = u_eq.grid

@@ -15,7 +15,7 @@ from ckn.continuation import (
 )
 from ckn.eigensolver import SolverCache
 from ckn.errors import NonConvergenceError, SymmetricFallbackError
-from ckn.fixedpoint import critical_value, eqmu_residual, roothan_solve, self_potential
+from ckn.fixedpoint import eqmu_residual, roothan_solve, self_potential
 from ckn.io import FieldStore
 from ckn.model import Field, ProblemParams, build_grid, evaluate_norms
 from ckn.symmetric import (
@@ -89,6 +89,7 @@ def test_initialize_falls_back_below_threshold(coarse, tmp_path_factory):
     store = FieldStore(tmp_path_factory.mktemp("fallback"))
     with pytest.raises(SymmetricFallbackError):
         initialize(0.9 * mu_FS(P, D), 0.05, g, params, store, cache)
+    assert list(store.dir.iterdir()) == []
 
 
 def test_initialize_start_is_set_by_mu0_and_grid(coarse, tmp_path_factory):
@@ -163,11 +164,13 @@ def test_down_branch_reaches_bifurcation(mini_branch):
     mufs = mu_FS(P, D)
     nonsym = [pt for pt in down.points if pt.asymmetry > 1e-4]
     assert min(pt.mu for pt in nonsym) <= 1.1 * mufs
-    # convention: points below the bifurcation are symmetric
-    below = [pt for pt in down.points if pt.mu <= mufs]
-    assert below, "branch should extend below the bifurcation"
-    assert all(pt.asymmetry <= 1e-4 for pt in below)
-    assert min(pt.mu for pt in below) <= 0.11 * mufs
+    # the walk holds only solved points: the start and the fixed-point
+    # points, then one discrete symmetric point below the bifurcation
+    computed = down.provenance["computed_points"]
+    assert len(down.points) == computed + 1
+    assert all(np.isfinite(pt.gap) for pt in down.points[1:])
+    end = down.points[0]
+    assert np.isnan(end.gap) and end.asymmetry <= 1e-4 and end.mu <= mufs
 
 
 def test_down_walk_ends_on_discrete_soliton(mini_branch, coarse):
@@ -198,7 +201,7 @@ def test_down_walk_with_step_past_zero_has_no_terminal_point(mini_branch, coarse
                            start_result=fp, cache=cache)
     assert down.provenance["computed_points"] == 1
     assert down.provenance["terminal_mu"] == start.mu
-    assert all(pt.asymmetry == 0.0 for pt in down.points if pt is not start)
+    assert down.points == [start]
 
 
 def test_energy_ordering_along_branch(mini_branch):
@@ -282,7 +285,7 @@ def test_discrete_soliton_solves_the_2d_grid_equation(coarse):
     mu, v = discrete_soliton(kappa, params, g)
     u = Field(g, np.repeat(v[:, None], g.n_phi, axis=1))
     assert eqmu_residual(u, mu) <= 1e-12 * np.sqrt(u.norm_sq())
-    assert critical_value(u, mu) == pytest.approx(kappa, rel=1e-12)
+    assert evaluate_norms(u)[2] ** ((P - 2.0) / P) == pytest.approx(kappa, rel=1e-12)
 
 
 def test_symmetric_reference_failure_names_kappa(coarse, monkeypatch):

@@ -5,7 +5,6 @@ from ckn import fixedpoint
 from ckn.errors import MonotonicityError, NormalizationError
 from ckn.eigensolver import EigenResult, SolverCache, q_norm
 from ckn.fixedpoint import (
-    critical_value,
     eqmu_residual,
     rescale_to_eqmu,
     roothan_solve,
@@ -103,7 +102,7 @@ def test_critical_value_consistency(setup):
     mu = mu_FS(P, D)
     kappa, V0, u = soliton_start(g, mu)
     fp = roothan_solve(kappa, V0, g, params, warm_start=u, cache=cache)
-    cv = critical_value(fp.u_eq, fp.mu)
+    cv = evaluate_norms(fp.u_eq)[2] ** ((P - 2.0) / P)
     assert cv == pytest.approx(15.65, abs=0.05)
     assert cv == pytest.approx(evaluate_Q(fp.u_eq, fp.mu, 1.0), rel=1e-8)
 

@@ -253,8 +253,9 @@ def test_cli_branch_outputs(cli_branch_run):
 
 def test_cli_branch_certificates(cli_branch_run):
     # computed rows carry the residual of their stored field, the fixed
-    # point's self-consistency gap and its work counters; closed-form
-    # extension rows have no gap and no counters
+    # point's self-consistency gap and its work counters; the one other
+    # row, the down walk's discrete terminal point, has no gap and no
+    # counters
     rc, out, _, lu_solves = cli_branch_run
     assert rc == 0
     _, header, rows = read_csv(out / "branch.csv")
@@ -265,7 +266,7 @@ def test_cli_branch_certificates(cli_branch_run):
     assert i_lu == i_eig + 1 and header[i_lu + 1] == "t"
     store = FieldStore(out / "checkpoints")
     computed = [r for r in rows if np.isfinite(r[i_gap])]
-    assert 0 < len(computed) < len(rows)
+    assert len(computed) == len(rows) - 1 >= 1
     for row in computed:
         assert row[i_res] == eqmu_residual(store.load(row[i_cp]), row[i_mu])
         assert row[i_gap] <= SELF_CONSISTENCY_TOL
@@ -334,8 +335,15 @@ def test_config_echo_in_outputs(tmp_path):
 def test_cli_solver_error_exit_code(tmp_path):
     # below the stability threshold the start falls back to the symmetric
     # solution, which the branch command reports as a solver failure
+    # and records the reason in the manifest, leaving no checkpoint
     cfg = _tiny_config(tmp_path, mu0_factor=0.9)
     assert cli.main(["branch", "--config", str(cfg)]) == 3
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "fell back to the symmetric solution" in manifest["stopped"]
+    assert manifest["timings"]["initialize_seconds"] > 0
+    assert not (out / "branch.csv").exists()
+    assert list((out / "checkpoints").iterdir()) == []
 
 
 def test_cli_branch_stall_keeps_partial_results(tmp_path, monkeypatch):
