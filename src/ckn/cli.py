@@ -144,6 +144,7 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
                                 for w in walks for r in w.provenance["halving_reasons"]],
             "points_down": n_points.get("down", 0),
             "points_up": n_points.get("up", 0),
+            "factorizations": cache.factorizations,
             "kappa_range": [branch.points[0].kappa, branch.points[-1].kappa],
         },
         "provenance": {

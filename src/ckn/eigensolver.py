@@ -12,23 +12,21 @@ span{y, T r, p}, p being the previous update direction.  y lies in that
 span, so the Rayleigh quotient sequence is non-increasing -- the
 fixed-point loop asserts exactly that.
 
-T is a sparse LU factor of a shifted operator, kept in a SolverCache and
-shared by every solve on the grid.  It is built at the Rayleigh quotient
-minus SHIFT_GAP; its pivots count the eigenvalues below the shift, and the
-shift is lowered until none is negative, so T is positive definite.  A
-factor built for an earlier operator degrades as the operator drifts, so a
-step that keeps more than REFRESH_RATIO of the residual on such a stale
-factor rebuilds it once for the current operator.
+T is LAPACK's banded Cholesky factor (dpbtrf) of a shifted operator, kept
+in a SolverCache and shared by every solve on the grid.  It is built at the
+Rayleigh quotient minus SHIFT_GAP, and the shift is lowered while dpbtrf
+meets a non-positive leading minor, so T is positive definite.  A factor
+built for an earlier operator degrades as the operator drifts, so a step
+that keeps more than REFRESH_RATIO of the residual on it rebuilds it once.
 """
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import NonConvergenceError, NormalizationError, PositivityError
 from .model import CylinderGrid, Field
@@ -41,19 +39,13 @@ DROP_RTOL = 1e-10
 # factor rebuilds it for the current operator
 REFRESH_RATIO = 0.8
 
-try:  # glibc: hands freed heap pages back to the OS
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
-
 
 @dataclass
 class EigenResult:
     """Converged lowest eigenpair: unit-norm nonnegative ground state.
 
     `iterations` counts the LOPCG steps plus the final residual check,
-    `lu_solves` the preconditioner applications (one per step).
+    `lu_solves` the Cholesky solves with the preconditioner (one per step).
     """
 
     lam: float
@@ -75,8 +67,15 @@ class CylinderOperator:
     def matvec(self, y: np.ndarray) -> np.ndarray:
         return self.grid.B @ y - self.kv * y
 
-    def matrix(self, shift: float = 0.0) -> sp.csc_matrix:
-        return (self.grid.B - sp.diags(self.kv + shift)).tocsc()
+    def band(self, shift: float = 0.0) -> np.ndarray:
+        """B - diag(kv + shift) in LAPACK upper band storage; in s-major order
+        B couples phi neighbours (offset 1) and s neighbours (w = n_phi - 2)."""
+        B, w = self.grid.B, self.grid.n_phi - 2
+        ab = np.zeros((w + 1, self.n), order="F")
+        ab[w] = B.diagonal() - (self.kv + shift)
+        ab[w - 1, 1:] = B.diagonal(1)
+        ab[0, w:] = B.diagonal(w)
+        return ab
 
     def to_field(self, y: np.ndarray) -> Field:
         return Field(self.grid, self.grid.embed(y * self.isq))
@@ -104,37 +103,45 @@ def _check_potential(kappa: float, V: Field, grid: CylinderGrid):
         raise NormalizationError(f"potential q-norm is {nq}, expected 1 within 1e-8")
 
 
-class SolverCache:
-    """Sparse LU factor of a shifted operator: the LOPCG preconditioner.
+class _BandCholesky:
+    """A = U^T U from upper band storage `ab`, factored in place by dpbtrf."""
 
-    The factorization uses symmetric mode (symmetric permutation, no
-    pivoting), so it is an LDL^T factorization in disguise: the diagonal of
-    U holds the pivots, and by Sylvester's law of inertia the number of
-    negative ones, `negative_pivots`, is the number of eigenvalues of the
-    factored operator below the shift.  One instance is shared across
-    fixed-point iterations and whole continuation runs, so the factor
-    usually serves operators other than the one it was built for; it is
-    rebuilt for a new grid or on request (a shift that left a negative
-    pivot, or convergence slowed on a stale factor).
+    def __init__(self, ab: np.ndarray):
+        self.cb, self.info = dpbtrf(ab, lower=0, overwrite_ab=1)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return dpbtrs(self.cb, rhs, lower=0)[0]
+
+    # the factor as sparse matrices, built only when asked for
+    U = property(lambda self: sp.dia_matrix(
+        (self.cb, np.arange(len(self.cb) - 1, -1, -1)), shape=(self.cb.shape[1],) * 2))
+    L = property(lambda self: self.U.T)
+
+
+class SolverCache:
+    """Banded Cholesky factor of a shifted operator: the LOPCG preconditioner.
+
+    `negative_pivots` is True when the last factor met a non-positive
+    leading minor: by Sylvester's law of inertia, the shift was not below
+    the lowest eigenvalue.  The factor costs n_s n_phi^3, a solve n_s n_phi^2.
+    One instance serves whole continuation runs; the factor is rebuilt for
+    a new grid or on request (an unsafe shift, or convergence slowed on a
+    stale factor).  `factorizations` counts them all, rejected ones included.
     """
 
     def __init__(self):
         self._factor = None
         self._op = None
-        self.negative_pivots = 0
+        self.negative_pivots = False
+        self.factorizations = 0
 
     def preconditioner(self, op: CylinderOperator, shift: float, rebuild: bool = False):
         if rebuild or self._factor is None or self._op.grid is not op.grid:
-            # hand the old factor's pages back, or each rebuild grows the process
-            self._factor = None
-            if _malloc_trim is not None:
-                _malloc_trim(0)
-            self._factor = splu(
-                op.matrix(shift), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0, options={"SymmetricMode": True},
-            )
+            self._factor = None  # let the old factor go before the next is built
+            self._factor = _BandCholesky(op.band(shift))
             self._op = op
-            self.negative_pivots = int(np.count_nonzero(self._factor.U.diagonal() < 0.0))
+            self.factorizations += 1
+            self.negative_pivots = self._factor.info != 0
         return self._factor.solve
 
     def built_for(self, op: CylinderOperator) -> bool:
@@ -144,14 +151,13 @@ class SolverCache:
 
 def _positive_factor(op: CylinderOperator, lam: float, cache: SolverCache, rebuild: bool):
     """The cache's solve; a factor built here is built at lam - SHIFT_GAP and
-    refactored at lower shifts while a pivot is negative."""
+    refactored at lower shifts while it is not positive definite."""
     shift = lam - SHIFT_GAP
     for attempt in range(8):
         solve = cache.preconditioner(op, shift, rebuild)
-        if cache.negative_pivots == 0:
+        if not cache.negative_pivots:
             return solve
-        # drop the rejected factor before the next one is built
-        solve = None
+        solve = None  # let the rejected factor go before the next is built
         shift -= 2.0 * (attempt + 1)
         rebuild = True
     raise NonConvergenceError("shifted operator stayed indefinite")
@@ -159,8 +165,7 @@ def _positive_factor(op: CylinderOperator, lam: float, cache: SolverCache, rebui
 
 def _default_start(op: CylinderOperator) -> np.ndarray:
     g = op.grid
-    blob = np.exp(-g.s**2)[:, None] * np.ones(g.n_phi)[None, :]
-    y = g.restrict(blob) / op.isq
+    y = g.restrict(np.repeat(np.exp(-g.s**2)[:, None], g.n_phi, axis=1)) / op.isq
     return y / np.linalg.norm(y)
 
 
@@ -195,10 +200,8 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
     lam = float(y @ Ay)
     r = Ay - lam * y
     resid = float(np.linalg.norm(r))
-    solve = None
-    p = None
-    solves = 0
-    it = 0
+    solve = p = None
+    solves = it = 0
     for it in range(1, max_iter + 1):
         if resid <= tol:
             break
@@ -234,16 +237,12 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
             solve = None  # let the stale factor go before the next is built
             solve = _positive_factor(op, lam, cache, rebuild=True)
     else:
-        raise NonConvergenceError(
-            f"eigensolver did not reach residual {tol} in {max_iter} iterations "
-            f"(last residual {resid:.3e})"
-        )
+        raise NonConvergenceError(f"eigensolver did not reach residual {tol} in {max_iter} "
+                                  f"iterations (last residual {resid:.3e})")
 
     u = op.to_field(y)
-    if grid.integrate(u.values) < 0:
-        u = Field(grid, -u.values)
-    nrm = np.sqrt(u.norm_sq())
-    u = Field(grid, u.values / nrm)
+    sign = -1.0 if grid.integrate(u.values) < 0 else 1.0
+    u = Field(grid, sign * u.values / np.sqrt(u.norm_sq()))
     umin, umax = u.values.min(), u.values.max()
     if umin < -1e-8 * umax:
         raise PositivityError(

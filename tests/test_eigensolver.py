@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ckn import eigensolver
 from ckn.errors import NormalizationError
@@ -168,27 +169,50 @@ def test_restrict_embed_roundtrip():
     np.testing.assert_array_equal(full[:, 0], full[:, 1])
 
 
-def test_negative_pivots_count_eigenvalues_below_shift():
-    # symmetric mode factors without pivoting, so by Sylvester's law of
-    # inertia the negative pivots count the eigenvalues below the shift
+@pytest.mark.parametrize("n_s, n_phi", [(48, 10), (16, 8)])
+def test_band_storage_is_exact(n_s, n_phi):
+    # in s-major order B couples phi neighbours (offset 1) and s neighbours
+    # (offset n_phi - 2) only, so the band holds the shifted operator entry
+    # for entry and its Cholesky factor reproduces it
+    params = ProblemParams(D, P, 1.0, "surface")
+    g = build_grid(8.0, n_s, n_phi, params)
+    w = n_phi - 2
+    B = g.B.tocoo()
+    offsets = set((B.col - B.row)[B.data != 0].tolist())
+    assert offsets <= {0, 1, -1, w, -w}
+    kappa, V, _ = soliton_problem(g, 2.0)
+    op = CylinderOperator(kappa, V, g)
+    shift = np.linalg.eigvalsh(g.B.toarray() - np.diag(op.kv))[0] - 1.0
+    A = g.B.toarray() - np.diag(op.kv + shift)
+    upper = sp.dia_matrix((op.band(shift), np.arange(w, -1, -1)), shape=A.shape).toarray()
+    np.testing.assert_array_equal(upper, np.triu(A))
+    factor = SolverCache().preconditioner(op, shift).__self__
+    UtU = (factor.L @ factor.U).toarray()
+    assert np.abs(UtU - A).max() <= 1e-12 * np.abs(A).max()
+
+
+def test_factor_is_positive_exactly_below_lowest_eigenvalue():
+    # dpbtrf meets a non-positive leading minor exactly when the shifted
+    # operator is not positive definite
     params = ProblemParams(D, P, 1.0, "surface")
     g = build_grid(8.0, 48, 10, params)
     kappa, V, _ = soliton_problem(g, 2.0)
     op = CylinderOperator(kappa, V, g)
-    lams = np.linalg.eigvalsh(op.matrix().toarray())
+    lams = np.linalg.eigvalsh(g.B.toarray() - np.diag(op.kv))
     cache = SolverCache()
     for k in range(4):
         cache.preconditioner(op, lams[k] + 1e-3, rebuild=True)
-        assert cache.negative_pivots == k + 1
+        assert cache.negative_pivots
     cache.preconditioner(op, lams[0] - 1e-3, rebuild=True)
-    assert cache.negative_pivots == 0
+    assert not cache.negative_pivots
+    assert cache.factorizations == 5
 
 
 @pytest.mark.parametrize("built", [False, True])
 def test_indefinite_shift_refactors_once(monkeypatch, built):
-    # a shift above the lowest eigenvalue shows as a negative pivot and is
-    # lowered with one more factorization; a factor already built at a safe
-    # shift is kept as it is
+    # a shift above the lowest eigenvalue leaves a non-positive leading
+    # minor and is lowered with one more factorization; a factor already
+    # built at a safe shift is kept as it is
     params = ProblemParams(D, P, 1.0, "surface")
     g = build_grid(8.0, 48, 10, params)
     kappa, V, _ = soliton_problem(g, 2.0)
@@ -198,16 +222,16 @@ def test_indefinite_shift_refactors_once(monkeypatch, built):
     if built:
         _positive_factor(op, lam1 - 1.0 + SHIFT_GAP, cache, rebuild=False)
     calls = []
-    real = eigensolver.splu
+    real = eigensolver.dpbtrf
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(eigensolver, "splu", counting)
+    monkeypatch.setattr(eigensolver, "dpbtrf", counting)
     _positive_factor(op, lam1 + 0.5 + SHIFT_GAP, cache, rebuild=False)
     assert len(calls) == (0 if built else 2)
-    assert cache.negative_pivots == 0
+    assert not cache.negative_pivots
 
 
 def test_converges_from_start_near_tolerance(grid400, cache):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ckn
-from ckn import cli, continuation
+from ckn import cli, continuation, eigensolver
 from ckn.continuation import asymmetry
 from ckn.eigensolver import SolverCache
 from ckn.errors import CheckpointError, ConfigError, NonConvergenceError
@@ -189,11 +189,13 @@ def test_cli_flag_overrides(tmp_path):
 @pytest.fixture(scope="module")
 def cli_branch_run(tmp_path_factory):
     """Exit code, output dir and config of one `ckn branch` run, plus the
-    number of LU solves counted by wrapping the factor's solve."""
+    numbers of Cholesky solves and of factorizations, counted by wrapping
+    the factor's solve and LAPACK's dpbtrf."""
     tmp = tmp_path_factory.mktemp("clirun")
     cfg = _tiny_config(tmp, n_s=96, n_phi=12, eta=0.45)
     real = SolverCache.preconditioner
-    solves = []
+    real_dpbtrf = eigensolver.dpbtrf
+    solves, factorizations = [], []
 
     def counting(cache, *args, **kwargs):
         solve = real(cache, *args, **kwargs)
@@ -204,10 +206,15 @@ def cli_branch_run(tmp_path_factory):
 
         return counted
 
+    def counting_dpbtrf(*args, **kwargs):
+        factorizations.append(1)
+        return real_dpbtrf(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SolverCache, "preconditioner", counting)
+        mp.setattr(eigensolver, "dpbtrf", counting_dpbtrf)
         rc = cli.main(["branch", "--config", str(cfg)])
-    return rc, tmp / "out", cfg, len(solves)
+    return rc, tmp / "out", cfg, len(solves), len(factorizations)
 
 
 def test_cli_branch_passes_tolerances(tmp_path, monkeypatch):
@@ -228,7 +235,7 @@ def test_cli_branch_passes_tolerances(tmp_path, monkeypatch):
 
 
 def test_cli_branch_outputs(cli_branch_run):
-    rc, out, _, _ = cli_branch_run
+    rc, out, _, _, _ = cli_branch_run
     assert rc == 0
     comments, header, rows = read_csv(out / "branch.csv")
     assert header[:2] == ["kappa", "mu"]
@@ -256,7 +263,7 @@ def test_cli_branch_certificates(cli_branch_run):
     # point's self-consistency gap and its work counters; the one other
     # row, the down walk's discrete terminal point, has no gap and no
     # counters
-    rc, out, _, lu_solves = cli_branch_run
+    rc, out, _, lu_solves, factorizations = cli_branch_run
     assert rc == 0
     _, header, rows = read_csv(out / "branch.csv")
     i_mu, i_cp = header.index("mu"), header.index("checkpoint")
@@ -276,6 +283,8 @@ def test_cli_branch_certificates(cli_branch_run):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["convergence"]["eta_halvings"] == 0
     assert sum(row[i_lu] for row in computed) == lu_solves
+    # the manifest reports the factorizations the run made
+    assert manifest["convergence"]["factorizations"] == factorizations >= 1
     for row in rows:
         if not np.isfinite(row[i_gap]):
             assert row[i_res] == eqmu_residual(store.load(row[i_cp]), row[i_mu])
@@ -283,7 +292,7 @@ def test_cli_branch_certificates(cli_branch_run):
 
 
 def test_cli_analyze_outputs(cli_branch_run):
-    rc, out, cfg, _ = cli_branch_run
+    rc, out, cfg, _, _ = cli_branch_run
     assert rc == 0
     assert cli.main(["analyze", "--config", str(cfg)]) == 0
     comments, header, rows = read_csv(out / "crossings.csv")
@@ -306,7 +315,7 @@ def test_cli_analyze_outputs(cli_branch_run):
 
 
 def test_cli_svg_structure(cli_branch_run):
-    rc, out, cfg, _ = cli_branch_run
+    rc, out, cfg, _, _ = cli_branch_run
     cli.main(["analyze", "--config", str(cfg)])
     for tag in ("0.714286", "1.000000"):
         path = out / f"diagram_{tag}.svg"
@@ -408,10 +417,10 @@ def test_cli_analyze_fails_on_damaged_crossing_checkpoint(tmp_path, capsys):
     assert "checksum mismatch" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+def test_cli_import_leaves_out_scipy_optimize_and_sparse_linalg():
     # a fresh interpreter, so no other test's imports count
-    code = ("import sys, ckn.cli; ckn.cli.build_parser(); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    code = ("import sys, ckn.cli; ckn.cli.build_parser(); print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.sparse.linalg'))))")
     src = str(Path(ckn.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60, check=True)
