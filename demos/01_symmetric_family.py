@@ -20,7 +20,6 @@ from ckn.symmetric import (
     mu_FS,
     soliton,
     soliton_norms,
-    t_symmetric,
 )
 
 p, d = 2.8, 5
@@ -39,7 +38,7 @@ X, Y, Z = soliton_norms(mu_fs, p, d, "surface")
 print(f"\nclosed-form norms (surface measure): X = {X:.2f}, Y = {Y:.2f}, Z = {Z:.2f}")
 print(f"Euler-Lagrange pairing X + mu Y - Z = {X + mu_fs * Y - Z:.2e}")
 print(f"Dirichlet-to-mass ratio t = X/Y = {X / Y:.6f} "
-      f"(virial formula gives {t_symmetric(mu_fs, p):.6f})")
+      f"(virial formula mu (p-2)/(p+2) gives {mu_fs * (p - 2) / (p + 2):.6f})")
 print(f"critical level at mu_FS: Q = Z^((p-2)/p) = {critical_value_sym(mu_fs, params):.4f}")
 
 print("\ncritical level along the symmetric family:")

@@ -17,12 +17,12 @@ import numpy as np
 from .continuation import ASYMMETRY_BIFURCATED
 from .errors import AmbiguousCrossingError
 from .model import ProblemParams, theta_critical
-from .symmetric import J_sym_theta, lambda_sym_theta
+from .symmetric import soliton_norms
 
 
 @dataclass
 class ThetaCurve:
-    """Sampled (mu, Lambda, J) curve for one theta, tagged by symmetry."""
+    """Sampled (mu, Lambda, J) curve for one theta, ordered by mu, tagged by symmetry."""
 
     theta: float
     mu: np.ndarray
@@ -39,6 +39,9 @@ class ThetaCurve:
             raise ValueError("curve columns have mismatched lengths")
         if np.any(self.J <= 0):
             raise ValueError("curve has non-positive J values")
+        order = np.argsort(self.mu)
+        self.mu, self.Lambda, self.J, self.symmetric = (
+            self.mu[order], self.Lambda[order], self.J[order], self.symmetric[order])
 
     def nonsymmetric(self) -> ThetaCurve:
         """The sub-curve of the points not flagged symmetric."""
@@ -68,19 +71,16 @@ def map_to_theta(branch, theta: float) -> ThetaCurve:
     Z = np.array([pt.Z for pt in branch.points])
     asym = np.array([pt.asymmetry for pt in branch.points])
     Lam, J = curve_values(theta, mu, X, Y, Z, params.p)
-    order = np.argsort(mu)
-    return ThetaCurve(
-        theta=theta, mu=mu[order], Lambda=Lam[order], J=J[order],
-        symmetric=asym[order] <= ASYMMETRY_BIFURCATED,
-    )
+    return ThetaCurve(theta=theta, mu=mu, Lambda=Lam, J=J,
+                      symmetric=asym <= ASYMMETRY_BIFURCATED)
 
 
 def symmetric_theta_curve(params: ProblemParams, theta: float,
                           mu_grid) -> ThetaCurve:
     """Closed-form symmetric curve sampled on mu_grid."""
     mu = np.asarray(mu_grid, dtype=float)
-    Lam = lambda_sym_theta(mu, theta, params.p)
-    J = np.array([J_sym_theta(m, theta, params) for m in mu])
+    Lam, J = curve_values(theta, mu, *soliton_norms(mu, params.p, params.d, params.measure_mode),
+                          params.p)
     return ThetaCurve(theta=theta, mu=mu, Lambda=Lam, J=J,
                       symmetric=np.ones(len(mu), bool))
 
@@ -224,14 +224,14 @@ def lambda_GN(p: float, d: int, J_inf: float, measure_mode: str = "surface") -> 
     """Existence threshold sup{Lambda_sym(mu) : J_sym(mu) < J_inf} at
     theta = Theta(p, d), computed on the closed-form symmetric curve.
 
-    At Theta the symmetric level is the power law J_sym(mu) = J_sym(1) mu^e
-    with e = Theta - (p-2)/(2p) = (d-1)(p-2)/(2p) > 0, so the threshold is
-    the curve parameter at mu = (J_inf / J_sym(1))^(1/e).  J_inf must be
-    given in the same measure mode.
+    At Theta the symmetric level is J_sym(mu) = J_sym(1) mu^e with e =
+    Theta - (p-2)/(2p) = (d-1)(p-2)/(2p) > 0 and Lambda_sym(mu) = Lambda_sym(1) mu,
+    so the threshold is Lambda_sym(1) (J_inf / J_sym(1))^(1/e).  J_inf must
+    be given in the same measure mode.
     """
     if not (J_inf > 0 and np.isfinite(J_inf)):
         raise ValueError(f"J_inf must be positive and finite, got {J_inf}")
     theta = theta_critical(p, d)
-    j1 = J_sym_theta(1.0, theta, ProblemParams(d, p, theta, measure_mode))
+    lam1, j1 = curve_values(theta, 1.0, *soliton_norms(1.0, p, d, measure_mode), p)
     mu_hat = (J_inf / j1) ** (1.0 / (theta - (p - 2.0) / (2.0 * p)))
-    return float(lambda_sym_theta(mu_hat, theta, p))
+    return float(lam1 * mu_hat)

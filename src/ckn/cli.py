@@ -21,7 +21,7 @@ from . import analysis, continuation, gn, io, svg
 from .errors import CheckpointError, CknError, ConfigError, NonConvergenceError, StepFailureError
 from .eigensolver import SolverCache
 from .model import build_grid, theta_critical
-from .symmetric import critical_value_sym, mu_FS, soliton, soliton_norms, t_symmetric
+from .symmetric import critical_value_sym, mu_FS, soliton, soliton_norms
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -50,24 +50,15 @@ def _grid(config: io.RunConfig):
     return build_grid(L, config.n_s, config.n_phi, params), params
 
 
-def _mu_grid(config: io.RunConfig, mu_max: float | None = None):
-    mu_fs = mu_FS(config.p, config.d)
-    hi = mu_max if mu_max is not None else 40.0 * mu_fs
-    return np.geomspace(config.mu_min_factor * mu_fs * 0.5, hi, 400)
-
-
 def cmd_symmetric_curve(config: io.RunConfig, out: Path) -> list[Path]:
     """Closed-form symmetric curve tables, one CSV per theta."""
-    params = config.params()
     files = []
-    mus = _mu_grid(config)
+    mu_fs = mu_FS(config.p, config.d)
+    mus = np.geomspace(config.mu_min_factor * mu_fs * 0.5, 40.0 * mu_fs, 400)
+    X, Y, Z = soliton_norms(mus, config.p, config.d, config.measure_mode)
     for theta in config.theta_list:
-        rows = []
-        for mu in mus:
-            X, Y, Z = soliton_norms(mu, config.p, config.d, config.measure_mode)
-            lam, J = analysis.curve_values(theta, mu, X, Y, Z, config.p)
-            rows.append((float(mu), float(lam), float(J),
-                         t_symmetric(mu, config.p), X, Y, Z))
+        lam, J = analysis.curve_values(theta, mus, X, Y, Z, config.p)
+        rows = zip(*(a.tolist() for a in (mus, lam, J, X / Y, X, Y, Z)))
         path = out / f"sym_curve_{_theta_tag(theta)}.csv"
         io.write_csv(path, io.config_echo(config) + [f"theta: {theta!r}"],
                      ["mu", "Lambda", "J", "t", "X", "Y", "Z"], rows)
@@ -167,14 +158,9 @@ def _branch_curves_from_csv(header, rows, theta: float):
         raise ConfigError(f"branch.csv has no columns for theta={theta}")
     iL, iJ = header.index(tag), header.index(f"J_{_theta_tag(theta)}")
     i_mu, i_asym = header.index("mu"), header.index("asymmetry")
-    mu = np.array([r[i_mu] for r in rows])
-    Lam = np.array([r[iL] for r in rows])
-    J = np.array([r[iJ] for r in rows])
-    asym = np.array([r[i_asym] for r in rows])
-    order = np.argsort(mu)
-    return analysis.ThetaCurve(
-        theta=theta, mu=mu[order], Lambda=Lam[order], J=J[order],
-        symmetric=asym[order] <= continuation.ASYMMETRY_BIFURCATED)
+    mu, Lam, J, asym = (np.array([r[i] for r in rows]) for i in (i_mu, iL, iJ, i_asym))
+    return analysis.ThetaCurve(theta=theta, mu=mu, Lambda=Lam, J=J,
+                               symmetric=asym <= continuation.ASYMMETRY_BIFURCATED)
 
 
 def _field_contour_csv(config, out: Path, name: str, field) -> Path:
@@ -193,15 +179,18 @@ def cmd_analyze(config: io.RunConfig, out: Path) -> list[Path]:
     branch_csv = out / "branch.csv"
     if not branch_csv.exists():
         raise FileNotFoundError(f"{branch_csv} not found: run the branch command first")
+    _, header_b, rows_b = io.read_csv(branch_csv)
+    i_mu, i_cp = header_b.index("mu"), header_b.index("checkpoint")
+    grid, params = _grid(config)
+    store = io.FieldStore(out / "checkpoints")
+    # a branch computed on another grid raises CheckpointError before any output
+    store.load(rows_b[0][i_cp], grid)
     files = cmd_gn_limit(config, out)
-    params = config.params()
     mu_fs = mu_FS(config.p, config.d)
 
     # Symmetric reference resolved by the same discrete functional as the
     # branch, so the tiny J gaps near a crossing are bias-cancelled.
-    grid, _ = _grid(config)
     kappa_fs = critical_value_sym(mu_fs, params)
-    _, header_b, rows_b = io.read_csv(branch_csv)
     kap_branch = np.array([r[header_b.index("kappa")] for r in rows_b], dtype=float)
     kap_hi = max(kap_branch.max(), 1.5 * kappa_fs)
     kappas = np.concatenate([
@@ -251,10 +240,8 @@ def cmd_analyze(config: io.RunConfig, out: Path) -> list[Path]:
         files.append(diagram)
 
         if crossing is not None and not flagged:
-            i_mu, i_cp = header_b.index("mu"), header_b.index("checkpoint")
-            cands = [r for r in rows_b if isinstance(r[i_cp], str) and r[i_cp]]
-            near = min(cands, key=lambda r: abs(r[i_mu] - crossing.mu1))
-            fld = io.FieldStore(out / "checkpoints").load(near[i_cp])
+            near = min(rows_b, key=lambda r: abs(r[i_mu] - crossing.mu1))
+            fld = store.load(near[i_cp], grid)
             files.append(_field_contour_csv(
                 config, out, f"crossing_field_mu1_{_theta_tag(theta)}.csv", fld))
             u_star = soliton(crossing.mu1_star, config.p).sample(grid)

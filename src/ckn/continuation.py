@@ -215,10 +215,11 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     on a failed step (no convergence, mu <= 0, any CknError from the
     solver, or a jump past the continuity guard) and recovers afterwards;
     each halving appends {"kappa", "reason"} (plus "du" and "bound" for
-    the guard) to provenance["halving_reasons"].  Below eta/64 the walk
-    raises StepFailureError, whose `branch` holds the points collected so
-    far.  provenance["computed_points"] counts the start and the
-    fixed-point points.
+    the guard) to provenance["halving_reasons"].  Below eta/64, or once
+    it holds MAX_POINTS points, the walk raises StepFailureError, whose
+    `branch` holds the points collected so far.
+    provenance["computed_points"] counts the start and the fixed-point
+    points.
     """
     if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction}")
@@ -239,7 +240,7 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     eta_cur = eta
     V_prev = u_prev = None
     kappa_prev = None
-    end = None
+    end = stopped = None
     while len(points) < MAX_POINTS:
         if direction == "down" and kappa - kappa_fs < 1.5 * eta:
             # the amplitude mode slows critically right above the
@@ -278,13 +279,9 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
             reasons.append({"kappa": kappa_next, **failure})
             eta_cur *= 0.5
             if eta_cur < eta_min:
-                reason = (f"continuation stalled at kappa = {kappa:.6g} "
-                          f"(step fell below {eta_min:.3g})")
-                partial = Branch(
-                    params=params, points=sorted(points, key=lambda pt: pt.kappa),
-                    provenance={"direction": direction, "eta": eta, "halvings": len(reasons),
-                                "halving_reasons": reasons})
-                raise StepFailureError(reason, partial)
+                stopped = (f"continuation stalled at kappa = {kappa:.6g} "
+                           f"(step fell below {eta_min:.3g})")
+                break
             continue
         points.append(_branch_point(fp, store))
         kappa_prev, kappa = kappa, kappa_next
@@ -295,6 +292,8 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
             pt = points[-1]
             if pt.asymmetry < ASYMMETRY_SYMMETRIC or pt.mu <= mu_fs:
                 break
+    else:
+        stopped = f"continuation reached MAX_POINTS = {MAX_POINTS} points at kappa = {kappa:.6g}"
 
     n_computed = len(points)
     if end is not None:
@@ -308,7 +307,10 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
         "terminal_mu": terminal.mu, "terminal_asymmetry": terminal.asymmetry,
         "computed_points": n_computed,
     }
-    return Branch(params=params, points=ordered, provenance=prov)
+    branch = Branch(params=params, points=ordered, provenance=prov)
+    if stopped is not None:
+        raise StepFailureError(stopped, branch)
+    return branch
 
 
 def symmetric_discrete_branch(kappas, grid: CylinderGrid, params: ProblemParams) -> Branch:

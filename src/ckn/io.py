@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .model import CylinderGrid, Field, ProblemParams, build_grid
+from .model import MIN_N_PHI, MIN_N_S, CylinderGrid, Field, ProblemParams, build_grid
 
 MAGIC = b"CKNFLD01"
 CHECKPOINT_VERSION = 1
@@ -135,6 +135,8 @@ class RunConfig:
         for name in ("n_s", "n_phi", "mu0_factor", "eps", "mu_min_factor", "tol", "eigen_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.n_s < MIN_N_S or self.n_phi < MIN_N_PHI:
+            raise ConfigError(f"grid {self.n_s}x{self.n_phi} is below {MIN_N_S}x{MIN_N_PHI}")
         for name in ("L", "eta", "kappa_stop"):
             v = getattr(self, name)
             if v is not None and v <= 0:

@@ -15,6 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 MEASURE_MODES = ("probability", "surface")
+MIN_N_S = 16
+MIN_N_PHI = 8
 
 
 def sphere_area(d: int) -> float:
@@ -142,8 +144,8 @@ def build_grid(L: float, n_s: int, n_phi: int, params: ProblemParams) -> Cylinde
     """
     if L <= 0:
         raise ValueError(f"half-length L must be positive, got {L}")
-    if n_s < 16 or n_phi < 8:
-        raise ValueError(f"grid too small: need n_s >= 16, n_phi >= 8, got {n_s}x{n_phi}")
+    if n_s < MIN_N_S or n_phi < MIN_N_PHI:
+        raise ValueError(f"grid {n_s}x{n_phi} is below the minimum {MIN_N_S}x{MIN_N_PHI}")
 
     d = params.d
     s = np.linspace(-L, L, n_s)

@@ -63,13 +63,14 @@ class SymmetricSolution:
         return Field(grid, np.repeat(self.u(grid.s)[:, None], grid.n_phi, axis=1))
 
 
-def soliton(mu: float, p: float) -> SymmetricSolution:
-    if mu <= 0:
+def soliton(mu, p: float) -> SymmetricSolution:
+    """The soliton at mu; an array of mu gives arrays A and b (for `soliton_norms`)."""
+    if np.any(np.asarray(mu) <= 0):
         raise ValueError(f"mu must be positive, got {mu}")
     if p <= 2:
         raise ValueError(f"p must exceed 2, got {p}")
     A = (0.5 * mu * p) ** (1.0 / (p - 2.0))
-    b = math.sqrt(mu) * (p - 2.0) / 2.0
+    b = np.sqrt(mu) * (p - 2.0) / 2.0
     return SymmetricSolution(mu=mu, p=p, A=A, b=b)
 
 
@@ -78,13 +79,15 @@ def _sech_moment(m: float) -> float:
     return math.exp(0.5 * math.log(math.pi) + math.lgamma(0.5 * m) - math.lgamma(0.5 * (m + 1.0)))
 
 
-def soliton_norms(mu: float, p: float, d: int, measure_mode: str = "surface"):
-    """Exact (X, Y, Z) of the soliton on the cylinder.
+def soliton_norms(mu, p: float, d: int, measure_mode: str = "surface"):
+    """Exact (X, Y, Z) of the soliton on the cylinder, elementwise in mu.
 
     Per unit angular measure Z = A^p I_m / b with m = 2p/(p-2); the first
     integrals of the ODE give X = Z (p-2)/(2p) and Y = Z (p+2)/(2 p mu).
-    Surface mode multiplies all three by |S^{d-1}|.
+    Surface mode multiplies all three by |S^{d-1}|.  mu may be a scalar or
+    an array.
     """
+    mu = np.asarray(mu, dtype=float)
     sol = soliton(mu, p)
     m = 2.0 * p / (p - 2.0)
     Z = sol.A**p * _sech_moment(m) / sol.b
@@ -94,23 +97,6 @@ def soliton_norms(mu: float, p: float, d: int, measure_mode: str = "surface"):
         area = sphere_area(d)
         X, Y, Z = X * area, Y * area, Z * area
     return X, Y, Z
-
-
-def t_symmetric(mu: float, p: float) -> float:
-    """Dirichlet-to-mass ratio X/Y = mu (p-2)/(p+2) of the soliton."""
-    return mu * (p - 2.0) / (p + 2.0)
-
-
-def lambda_sym_theta(mu, theta: float, p: float):
-    """Curve parameter theta*mu - (1-theta)*t of the symmetric family."""
-    return np.asarray(mu) * (theta - (1.0 - theta) * (p - 2.0) / (p + 2.0))
-
-
-def J_sym_theta(mu: float, theta: float, params: ProblemParams) -> float:
-    """Quotient value of the soliton at its own curve parameter."""
-    p = params.p
-    _, Y, Z = soliton_norms(mu, p, params.d, params.measure_mode)
-    return theta**theta * Z**theta * Y ** (1.0 - theta) / Z ** (2.0 / p)
 
 
 def critical_value_sym(mu: float, params: ProblemParams) -> float:

@@ -15,7 +15,7 @@ from ckn.fixedpoint import roothan_solve, self_potential
 from ckn.gn import J_infinity, radial_ground_state
 from ckn.io import FieldStore, load_field, save_field
 from ckn.model import Field, ProblemParams, build_grid, evaluate_Q, theta_critical
-from ckn.symmetric import critical_value_sym, mu_FS, soliton
+from ckn.symmetric import critical_value_sym, mu_FS, soliton, soliton_norms
 
 P, D = 2.8, 5
 THETA_C = 5.0 / 7.0
@@ -185,11 +185,11 @@ def test_criterion_7_gn_limit_consistency(run_p28):
 
     lam_gn = lambda_GN(P, D, j_inf, "surface")
     theta = theta_critical(P, D)
-    params = ProblemParams(D, P, theta, "surface")
-    from ckn.symmetric import J_sym_theta
-
     slope = theta - (1.0 - theta) * (P - 2.0) / (P + 2.0)
-    resid = abs(J_sym_theta(lam_gn / slope, theta, params) - j_inf)
+    # the symmetric level at Lambda_GN, with X + mu Y = Z (Pohozaev)
+    _, Y, Z = soliton_norms(lam_gn / slope, P, D, "surface")
+    j_sym = theta**theta * Z**theta * Y ** (1.0 - theta) / Z ** (2.0 / P)
+    resid = abs(j_sym - j_inf)
 
     _report("criterion 7: GN limit consistency",
             max(rx, ry) <= 1e-5 and gap <= 0.05 and resid <= 1e-8,

@@ -14,9 +14,16 @@ from ckn.analysis import (
 from ckn.errors import AmbiguousCrossingError
 from ckn.gn import J_infinity
 from ckn.model import ProblemParams, build_grid, evaluate_Q, theta_critical
-from ckn.symmetric import J_sym_theta, mu_FS, soliton_norms
+from ckn.symmetric import mu_FS, soliton_norms
 
 P, D = 2.8, 5
+
+
+def j_sym(mu, theta, mode="surface"):
+    """Symmetric level theta^theta Z^theta Y^(1-theta) / Z^(2/p), from the
+    Pohozaev identity X + mu Y = Z."""
+    _, Y, Z = soliton_norms(mu, P, D, mode)
+    return theta**theta * Z**theta * Y ** (1 - theta) / Z ** (2 / P)
 
 
 def test_lambda_FS_paper_values():
@@ -157,7 +164,32 @@ def test_symmetric_theta_curve_builder():
     assert np.all(np.diff(c.Lambda) > 0)
     assert np.all(c.symmetric)
     k = 17
-    assert c.J[k] == pytest.approx(J_sym_theta(mus[k], 5.0 / 7.0, params), rel=1e-12)
+    assert c.J[k] == pytest.approx(j_sym(mus[k], 5.0 / 7.0), rel=1e-12)
+
+
+def test_array_norms_and_unsorted_curve():
+    # one array call of soliton_norms gives the scalar calls' values up to
+    # the few-ulp difference of numpy's vectorized power, and a ThetaCurve
+    # orders its columns by mu whatever the input order
+    mus = np.array([7.0, 0.3, mu_FS(P, D), 2.0, 40.0])
+    for mode in ("surface", "probability"):
+        arrays = soliton_norms(mus, P, D, mode)
+        for k, mu in enumerate(mus):
+            for a, x in zip(arrays, soliton_norms(float(mu), P, D, mode)):
+                assert a[k] == pytest.approx(x, rel=4e-15)
+    params = ProblemParams(D, P, 0.8, "surface")
+    c = symmetric_theta_curve(params, 0.8, mus)
+    order = np.argsort(mus)
+    np.testing.assert_array_equal(c.mu, mus[order])
+    assert np.all(np.diff(c.Lambda) > 0)
+    for mu, J in zip(c.mu, c.J):
+        assert J == pytest.approx(j_sym(mu, 0.8), rel=1e-12)
+    flags = np.array([True, False, True, False, False])
+    c = ThetaCurve(0.8, mus, -mus, mus**2, flags)
+    np.testing.assert_array_equal(c.mu, mus[order])
+    np.testing.assert_array_equal(c.Lambda, -mus[order])
+    np.testing.assert_array_equal(c.J, mus[order] ** 2)
+    np.testing.assert_array_equal(c.symmetric, flags[order])
 
 
 @pytest.fixture(scope="module")
@@ -170,12 +202,11 @@ def test_lambda_GN_residual_and_value(j_inf_pair):
     j_s, _ = j_inf_pair
     lam_gn = lambda_GN(P, D, j_s, "surface")
     assert np.isfinite(lam_gn) and lam_gn > 0
-    # the bisection leaves essentially no residual
+    # the closed-form inversion leaves essentially no residual
     theta = theta_critical(P, D)
-    params = ProblemParams(D, P, theta, "surface")
     slope = theta - (1 - theta) * (P - 2) / (P + 2)
     mu_hat = lam_gn / slope
-    assert abs(J_sym_theta(mu_hat, theta, params) - j_s) <= 1e-8
+    assert abs(j_sym(mu_hat, theta) - j_s) <= 1e-8
     assert lam_gn == pytest.approx(2.706965061745906, rel=1e-13)
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
@@ -192,13 +223,12 @@ def test_lambda_GN_mode_consistency(j_inf_pair):
 def test_lambda_GN_monotone_crossing_exists(j_inf_pair):
     j_s, _ = j_inf_pair
     theta = theta_critical(P, D)
-    params = ProblemParams(D, P, theta, "surface")
     lam_gn = lambda_GN(P, D, j_s, "surface")
     slope = theta - (1 - theta) * (P - 2) / (P + 2)
     mu_hat = lam_gn / slope
     # symmetric level below the limit level on the left, above on the right
-    assert J_sym_theta(0.5 * mu_hat, theta, params) < j_s
-    assert J_sym_theta(2.0 * mu_hat, theta, params) > j_s
+    assert j_sym(0.5 * mu_hat, theta) < j_s
+    assert j_sym(2.0 * mu_hat, theta) > j_s
 
 
 def _envelope(run, theta):

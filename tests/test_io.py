@@ -23,6 +23,7 @@ from ckn.io import (
     write_csv,
 )
 from ckn.model import Field, ProblemParams, build_grid
+from ckn.symmetric import critical_value_sym, mu_FS
 
 
 @pytest.fixture()
@@ -152,8 +153,6 @@ def test_cli_symmetric_curve_deterministic(tmp_path):
 
 
 def test_cli_symmetric_curve_contents(tmp_path):
-    from ckn.symmetric import critical_value_sym, t_symmetric
-
     cfg = _tiny_config(tmp_path)
     assert cli.main(["symmetric-curve", "--config", str(cfg)]) == 0
     comments, header, rows = read_csv(tmp_path / "out" / "sym_curve_1.000000.csv")
@@ -163,13 +162,20 @@ def test_cli_symmetric_curve_contents(tmp_path):
         mu, lam, J, t = r[0], r[1], r[2], r[3]
         assert lam == pytest.approx(mu, rel=1e-12)
         assert J == pytest.approx(critical_value_sym(mu, params), rel=1e-12)
-        assert t == pytest.approx(t_symmetric(mu, 2.8), rel=1e-12)
+        assert t == pytest.approx(mu * (2.8 - 2) / (2.8 + 2), rel=1e-12)
 
 
 def test_cli_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"p": 1.0}))
     assert cli.main(["symmetric-curve", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("flag", [["--ns", "10"], ["--nphi", "7"]], ids=["ns", "nphi"])
+def test_cli_grid_too_small_exit_code(tmp_path, flag):
+    cfg = _tiny_config(tmp_path)
+    assert cli.main(["branch", "--config", str(cfg), *flag]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_analyze_missing_branch_exit_code(tmp_path):
@@ -304,14 +310,29 @@ def test_cli_analyze_outputs(cli_branch_run):
     assert grows[0][1] > 0 and grows[0][2] > 0
     _, eheader, erows = read_csv(out / "envelope_1.000000.csv")
     assert eheader == ["Lambda", "J_min", "source"]
-    # analyze writes its symmetric reference next to the branch's fields:
-    # every branch.csv row must still find its own field afterwards
+    # analyze writes no checkpoints: every branch.csv row still finds
+    # its own field afterwards
     _, bheader, brows = read_csv(out / "branch.csv")
     i_cp, i_asym = bheader.index("checkpoint"), bheader.index("asymmetry")
     store = FieldStore(out / "checkpoints")
     for row in brows:
         u = store.load(row[i_cp])
         assert asymmetry(u) == pytest.approx(row[i_asym], rel=1e-12, abs=1e-12)
+
+
+def test_cli_analyze_rejects_branch_from_other_grid(cli_branch_run):
+    # analyze loads the branch's first field onto its own grid before it
+    # writes anything, so a branch computed on another grid is an i/o error
+    rc, out, cfg, _, _ = cli_branch_run
+    assert rc == 0
+
+    def snapshot():
+        return {f: (f.stat().st_mtime_ns, f.read_bytes())
+                for f in sorted(out.rglob("*")) if f.is_file()}
+
+    before = snapshot()
+    assert cli.main(["analyze", "--config", str(cfg), "--ns", "64"]) == 4
+    assert snapshot() == before
 
 
 def test_cli_svg_structure(cli_branch_run):
@@ -389,6 +410,25 @@ def test_cli_branch_stall_keeps_partial_results(tmp_path, monkeypatch):
     i_cp, i_asym = header.index("checkpoint"), header.index("asymmetry")
     for row in rows:
         assert asymmetry(store.load(row[i_cp])) == pytest.approx(row[i_asym], abs=1e-12)
+
+
+def test_cli_branch_point_cap_keeps_partial_results(tmp_path, monkeypatch):
+    # a walk that reaches MAX_POINTS stops like a stalled one: it keeps its
+    # points, records why it stopped and exits 3
+    monkeypatch.setattr(continuation, "MAX_POINTS", 3)
+    cfg = _tiny_config(tmp_path)
+    assert cli.main(["branch", "--config", str(cfg)]) == 3
+    out = tmp_path / "out"
+    _, header, rows = read_csv(out / "branch.csv")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "MAX_POINTS = 3" in manifest["stopped"]
+    assert manifest["convergence"]["points_down"] == len(rows) == 3
+    assert manifest["convergence"]["points_up"] == 0
+    # the down walk was cut above the bifurcation level kappa_FS
+    params = ProblemParams(5, 2.8, 1.0, "surface")
+    kappa_fs = critical_value_sym(mu_FS(2.8, 5), params)
+    assert rows[0][header.index("kappa")] > kappa_fs
+    assert all(np.isfinite(r[header.index("gap")]) for r in rows)
 
 
 def test_cli_analyze_fails_on_damaged_crossing_checkpoint(tmp_path, capsys):

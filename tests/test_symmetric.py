@@ -2,18 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ckn.analysis import symmetric_theta_curve
+from ckn.analysis import lambda_FS, symmetric_theta_curve
 from ckn.model import ProblemParams, build_grid, evaluate_Q
 from ckn.symmetric import (
-    J_sym_theta,
     critical_value_sym,
     lambda1_H,
-    lambda_sym_theta,
     mu_FS,
     mu_from_kappa_sym,
     soliton,
     soliton_norms,
-    t_symmetric,
     transverse_mode,
 )
 
@@ -105,11 +102,12 @@ def test_mu_FS_values():
 def test_virial_identity_sweep():
     for mu in np.geomspace(0.01, 100.0, 17):
         X, Y, _ = soliton_norms(mu, P, D, "probability")
-        assert X / Y == pytest.approx(t_symmetric(mu, P), rel=1e-12)
+        assert X / Y == pytest.approx(mu * (P - 2) / (P + 2), rel=1e-12)
 
 
-def test_t_symmetric_value():
-    assert t_symmetric(mu_FS(P, D), P) == pytest.approx(0.69444, abs=1e-5)
+def test_virial_ratio_value():
+    X, Y, _ = soliton_norms(mu_FS(P, D), P, D, "surface")
+    assert X / Y == pytest.approx(0.69444, abs=1e-5)
 
 
 def test_symmetric_curve_theta_one_collapse():
@@ -122,21 +120,29 @@ def test_symmetric_curve_theta_one_collapse():
 
 
 def test_symmetric_curve_lambda_FS_identity():
-    # Lambda_sym at mu_FS with theta = 5/7 equals the explicit threshold
-    mu = mu_FS(P, D)
-    assert lambda_sym_theta(mu, 5.0 / 7.0, P) == pytest.approx(2.7778, abs=1e-4)
-    assert lambda_sym_theta(mu, 5.0 / 7.0, P) == pytest.approx(25.0 / 9.0, rel=1e-12)
+    # Lambda_sym at mu_FS equals the explicit threshold
+    params = ProblemParams(D, P, 1.0, "surface")
+    for theta in (5.0 / 7.0, 0.8, 0.95):
+        (lam,) = symmetric_theta_curve(params, theta, [mu_FS(P, D)]).Lambda
+        assert lam == pytest.approx(lambda_FS(P, theta, D), rel=1e-12)
+    (lam,) = symmetric_theta_curve(params, 5.0 / 7.0, [mu_FS(P, D)]).Lambda
+    assert lam == pytest.approx(2.7778, abs=1e-4)
+    assert lam == pytest.approx(25.0 / 9.0, rel=1e-12)
 
 
 def test_J_sym_matches_grid_quotient():
     params = ProblemParams(D, P, 1.0, "surface")
     g = build_grid(10.0, 400, 48, params)
+    mus = [2.0, mu_FS(P, D)]
     for theta in (5.0 / 7.0, 0.85, 1.0):
-        for mu in (2.0, mu_FS(P, D)):
+        curve = symmetric_theta_curve(params, theta, mus)
+        for mu, lam, J in zip(mus, curve.Lambda, curve.J):
+            _, Y, Z = soliton_norms(mu, P, D, "surface")
+            # Pohozaev: X + mu Y = Z, so theta (X + mu Y) = theta Z
+            assert J == pytest.approx(
+                theta**theta * Z**theta * Y ** (1 - theta) / Z ** (2 / P), rel=1e-12)
             u = soliton(mu, P).sample(g)
-            lam = lambda_sym_theta(mu, theta, P)
-            assert J_sym_theta(mu, theta, params) == pytest.approx(
-                evaluate_Q(u, lam, theta), rel=5e-3)
+            assert J == pytest.approx(evaluate_Q(u, lam, theta), rel=5e-3)
 
 
 def test_mu_from_kappa_inverts_closed_form():
@@ -157,8 +163,8 @@ def test_symmetric_levels_are_power_laws():
                 assert ratio == pytest.approx(2 ** ((p + 2) / (2 * p)), rel=1e-13)
                 for theta in (d * (p - 2) / (2 * p), 0.8, 1.0):
                     e = theta - (p - 2) / (2 * p)
-                    ratio = J_sym_theta(2 * mu, theta, params) / J_sym_theta(mu, theta, params)
-                    assert ratio == pytest.approx(2**e, rel=1e-13)
+                    J = symmetric_theta_curve(params, theta, [mu, 2 * mu]).J
+                    assert J[1] / J[0] == pytest.approx(2**e, rel=1e-13)
 
 
 @pytest.fixture(scope="module")
