@@ -1,12 +1,12 @@
 """Lowest eigenpair of the weighted operator -Laplace - kappa V on the cylinder.
 
-The discrete operator is the one the grid assembled from the
-staggered-difference energy form: on the interior dofs (Dirichlet rows at
-s = +-L and the zero-weight pole nodes eliminated), the generalized problem
-K u = lambda M u is scaled by M^(-1/2) into the standard symmetric one with
-matrix A = B - kappa V.  It is solved by block-size-1 LOPCG, Knyazev's
-locally optimal preconditioned conjugate gradient (SIAM J. Sci. Comput. 23
-(2001) 517-541): each step applies the preconditioner T once to the
+The discrete operator is the grid's: on the interior dofs (Dirichlet rows
+at s = +-L and the zero-weight pole nodes eliminated), the generalized
+problem K u = lambda M u is scaled by M^(-1/2) into the standard symmetric
+one with matrix A = B - kappa V, B held by the grid as three diagonals.
+It is solved by block-size-1 LOPCG, Knyazev's locally optimal
+preconditioned conjugate gradient (SIAM J. Sci. Comput. 23 (2001)
+517-541): each step applies the preconditioner T once to the
 residual r = A y - lambda y and takes the lowest Ritz pair of A on
 span{y, T r, p}, p being the previous update direction.  y lies in that
 span, so the Rayleigh quotient sequence is non-increasing -- the
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import NonConvergenceError, NormalizationError, PositivityError
@@ -65,16 +64,22 @@ class CylinderOperator:
         self.kv = kappa * grid.restrict(V.values) if kappa != 0.0 else np.zeros(self.n)
 
     def matvec(self, y: np.ndarray) -> np.ndarray:
-        return self.grid.B @ y - self.kv * y
+        (diag, off_phi, off_s), w = self.grid.B, self.grid.n_phi - 2
+        out = (diag - self.kv) * y
+        out[:-1] += off_phi * y[1:]
+        out[1:] += off_phi * y[:-1]
+        out[:-w] += off_s * y[w:]
+        out[w:] += off_s * y[:-w]
+        return out
 
     def band(self, shift: float = 0.0) -> np.ndarray:
         """B - diag(kv + shift) in LAPACK upper band storage; in s-major order
         B couples phi neighbours (offset 1) and s neighbours (w = n_phi - 2)."""
-        B, w = self.grid.B, self.grid.n_phi - 2
+        (diag, off_phi, off_s), w = self.grid.B, self.grid.n_phi - 2
         ab = np.zeros((w + 1, self.n), order="F")
-        ab[w] = B.diagonal() - (self.kv + shift)
-        ab[w - 1, 1:] = B.diagonal(1)
-        ab[0, w:] = B.diagonal(w)
+        ab[w] = diag - (self.kv + shift)
+        ab[w - 1, 1:] = off_phi
+        ab[0, w:] = off_s
         return ab
 
     def to_field(self, y: np.ndarray) -> Field:
@@ -112,9 +117,12 @@ class _BandCholesky:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return dpbtrs(self.cb, rhs, lower=0)[0]
 
-    # the factor as sparse matrices, built only when asked for
-    U = property(lambda self: sp.dia_matrix(
-        (self.cb, np.arange(len(self.cb) - 1, -1, -1)), shape=(self.cb.shape[1],) * 2))
+    @property
+    def U(self):
+        """The factor as a sparse matrix; only here is scipy.sparse loaded."""
+        import scipy.sparse as sp
+        return sp.dia_matrix((self.cb, np.arange(len(self.cb) - 1, -1, -1)),
+                             shape=(self.cb.shape[1],) * 2)
     L = property(lambda self: self.U.T)
 
 

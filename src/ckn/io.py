@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 import struct
 import zlib
@@ -68,6 +70,8 @@ def load_field(path, grid: CylinderGrid | None = None) -> Field:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     body = raw[len(MAGIC) + _HEADER.size:-4]
+    if n_s <= 0 or n_phi <= 0 or len(body) != 8 * n_s * n_phi:
+        raise CheckpointError(f"{path}: {len(body)} value bytes do not hold a {n_s}x{n_phi} grid")
     values = np.frombuffer(body, dtype="<f8").reshape(n_s, n_phi).copy()
     mode_name = "probability" if mode == 0 else "surface"
     if grid is None:
@@ -105,6 +109,22 @@ class FieldStore:
         return load_field(path, grid)
 
 
+def _positive(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 < x < math.inf
+
+
+# each RunConfig annotation: the test its values must pass, and their name;
+# every number of a run (d, the grid, p, the thetas, tolerances) is positive
+_ADMITS = {
+    "int": (lambda x: isinstance(x, numbers.Integral) and _positive(x), "a positive integer"),
+    "float": (_positive, "a positive number"),
+    "float | None": (lambda x: x is None or _positive(x), "a positive number or null"),
+    "str": (lambda x: isinstance(x, str), "a string"),
+    "list": (lambda x: isinstance(x, list) and all(map(_positive, x)),
+             "a list of positive numbers"),
+}
+
+
 @dataclass
 class RunConfig:
     """All knobs of one reproducible run; round-trips through JSON."""
@@ -127,20 +147,18 @@ class RunConfig:
     run_id: str = "ckn-run"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            admits, kind = _ADMITS[f.type]
+            if not admits(value):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         try:
             for th in [1.0, *self.theta_list]:
                 self.params(th)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for name in ("n_s", "n_phi", "mu0_factor", "eps", "mu_min_factor", "tol", "eigen_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
         if self.n_s < MIN_N_S or self.n_phi < MIN_N_PHI:
             raise ConfigError(f"grid {self.n_s}x{self.n_phi} is below {MIN_N_S}x{MIN_N_PHI}")
-        for name in ("L", "eta", "kappa_stop"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigError(f"{name} must be positive when given")
 
     def params(self, theta: float = 1.0) -> ProblemParams:
         return ProblemParams(self.d, self.p, theta, self.measure_mode)
@@ -160,6 +178,8 @@ class RunConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

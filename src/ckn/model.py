@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 MEASURE_MODES = ("probability", "surface")
 MIN_N_S = 16
@@ -71,16 +70,15 @@ class CylinderGrid:
 
     s is uniform on [-L, L]; phi nodes are cosine-clustered towards the
     poles, phi_j = (pi/2) (1 - cos(pi j / (n_phi - 1))).  Node weights at
-    the poles vanish exactly (the angular density is zero there); the
-    staggered midpoint weights `mphi` used for the angular gradient are
-    zero on the two pole-adjacent cells, so pole values never enter any
-    norm or energy.
+    the poles vanish exactly (the angular density is zero there).
 
-    `K` is the staggered-difference energy form on the full tensor grid
-    (u . K u = int |grad u|^2; pole rows are zero).  The solver dofs are
-    the interior nodes (off the Dirichlet ends s = +-L and off the poles):
-    `m` is their quadrature mass and `B = M^-1/2 K_int M^-1/2` the
-    mass-scaled interior stiffness, symmetric in the Euclidean product.
+    The operator is its edge weights: `es[j]` on every s-edge at phi_j and
+    `ep[i, j]` on the phi-edge (i, j)-(i, j+1), zero on the two pole cells
+    so that pole values never enter any norm or energy; K is the matrix of
+    the energy they weigh.  The solver dofs are the interior nodes (off the
+    Dirichlet ends s = +-L and the poles): `m` is their quadrature mass and
+    `B` the three nonzero diagonals (offsets 0, 1, n_phi - 2 in s-major
+    order) of the mass-scaled interior stiffness M^-1/2 K_int M^-1/2.
     """
 
     d: int
@@ -93,13 +91,12 @@ class CylinderGrid:
     phi: np.ndarray
     ws: np.ndarray
     wphi: np.ndarray
-    dphi: np.ndarray
-    mphi: np.ndarray
     h_s: float
     angular_total: float
-    K: sp.csr_matrix
+    es: np.ndarray
+    ep: np.ndarray
     m: np.ndarray
-    B: sp.csr_matrix
+    B: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -126,17 +123,17 @@ class CylinderGrid:
         return full
 
     def action(self, values: np.ndarray) -> np.ndarray:
-        """Pointwise -Laplace u = M^-1 (K u) on the interior dofs.
-
-        Boundary columns of K contribute, so fields with nonzero values at
-        s = +-L are differentiated against those values; on an embedded
-        interior vector x, K u is exactly K_int x.
-        """
-        return self.restrict((self.K @ values.ravel()).reshape(self.shape)) / self.m
+        """Pointwise -Laplace u = M^-1 (K u) on the interior dofs: the net
+        edge flux out of each node over its mass.  Edges to s = +-L count,
+        so on an embedded interior vector x, K u is exactly K_int x."""
+        fs = self.es * np.diff(values, axis=0)
+        fp = self.ep * np.diff(values, axis=1)
+        net = fs[:-1, 1:-1] - fs[1:, 1:-1] + fp[1:-1, :-1] - fp[1:-1, 1:]
+        return net.ravel() / self.m
 
 
 def build_grid(L: float, n_s: int, n_phi: int, params: ProblemParams) -> CylinderGrid:
-    """Construct the weighted tensor grid for `params` and assemble its operator.
+    """Construct the weighted tensor grid for `params` and its operator.
 
     The angular node weights are trapezoidal cells times the nodal density
     sin^{d-2}(phi), rescaled so the total angular mass is exact (1 or
@@ -157,12 +154,9 @@ def build_grid(L: float, n_s: int, n_phi: int, params: ProblemParams) -> Cylinde
     phi = 0.5 * math.pi * (1.0 - np.cos(math.pi * j / (n_phi - 1)))
     phi[0], phi[-1] = 0.0, math.pi
 
-    cells = np.empty(n_phi)
-    cells[0] = 0.5 * (phi[1] - phi[0])
-    cells[-1] = 0.5 * (phi[-1] - phi[-2])
+    cells = np.zeros(n_phi)  # the pole nodes carry no weight
     cells[1:-1] = 0.5 * (phi[2:] - phi[:-2])
     raw = cells * np.sin(phi) ** (d - 2)
-    raw[0] = raw[-1] = 0.0
     total = 1.0 if params.measure_mode == "probability" else sphere_area(d)
     scale = total / raw.sum()
     wphi = scale * raw
@@ -171,27 +165,23 @@ def build_grid(L: float, n_s: int, n_phi: int, params: ProblemParams) -> Cylinde
     mid = 0.5 * (phi[:-1] + phi[1:])
     mphi = scale * dphi * np.sin(mid) ** (d - 2)
     mphi[0] = mphi[-1] = 0.0  # pole cells carry no angular-gradient weight
+    es = wphi / h_s
+    ep = np.outer(ws, mphi / dphi**2)
 
-    # energy form: s-differences weighted by wphi, phi-differences by ws
-    diag_s = np.full(n_s, 2.0)
-    diag_s[0] = diag_s[-1] = 1.0
-    T_s = sp.diags([np.full(n_s - 1, -1.0), diag_s, np.full(n_s - 1, -1.0)], [-1, 0, 1]) / h_s
-    cell = mphi / dphi**2
-    diag_p = np.zeros(n_phi)
-    diag_p[:-1] += cell
-    diag_p[1:] += cell
-    A_phi = sp.diags([-cell, diag_p, -cell], [-1, 0, 1])
-    K = (sp.kron(T_s, sp.diags(wphi)) + sp.kron(sp.diags(ws), A_phi)).tocsr()
-
-    inner = np.arange(n_s * n_phi).reshape(n_s, n_phi)[1:-1, 1:-1].ravel()
+    # M^-1/2 K_int M^-1/2: a node's diagonal entry sums its edge weights, an
+    # edge contributes minus its weight; the zero pole-cell weight ends each
+    # phi row, so the offset-1 diagonal needs no gaps
     m = np.outer(ws, wphi)[1:-1, 1:-1].ravel()
-    S = sp.diags(1.0 / np.sqrt(m))
-    B = (S @ K[inner][:, inner].tocsr() @ S).tocsr()
+    isq = 1.0 / np.sqrt(m)
+    w = n_phi - 2
+    diag = (2.0 * es[1:-1] + ep[1:-1, :-1] + ep[1:-1, 1:]).ravel() / m
+    off_phi = -ep[1:-1, 1:].ravel()[:-1] * isq[:-1] * isq[1:]
+    off_s = -np.tile(es[1:-1], n_s - 3) * isq[:-w] * isq[w:]
 
     return CylinderGrid(
         d=d, p=params.p, measure_mode=params.measure_mode, L=L, n_s=n_s, n_phi=n_phi,
-        s=s, phi=phi, ws=ws, wphi=wphi, dphi=dphi, mphi=mphi, h_s=h_s,
-        angular_total=total, K=K, m=m, B=B,
+        s=s, phi=phi, ws=ws, wphi=wphi, h_s=h_s, angular_total=total,
+        es=es, ep=ep, m=m, B=(diag, off_phi, off_s),
     )
 
 
@@ -216,17 +206,11 @@ class Field:
 
 
 def dirichlet_energy(u: Field) -> float:
-    """Quadrature-weighted energy int |grad u|^2 from staggered differences.
-
-    This is u . K u, summed over the differences themselves so that it is
-    exactly zero on constants (K u carries roundoff there).
-    """
-    g = u.grid
-    v = u.values
-    ds = np.diff(v, axis=0)
-    x_s = np.einsum("j,ij->", g.wphi, ds**2) / g.h_s
-    dp = np.diff(v, axis=1)
-    x_phi = np.einsum("i,j,ij->", g.ws, g.mphi / g.dphi**2, dp**2)
+    """Quadrature-weighted energy int |grad u|^2: the edge-weighted sum of
+    squared differences, exactly zero on constants."""
+    g, v = u.grid, u.values
+    x_s = np.einsum("j,ij->", g.es, np.diff(v, axis=0) ** 2)
+    x_phi = np.einsum("ij,ij->", g.ep, np.diff(v, axis=1) ** 2)
     return float(x_s + x_phi)
 
 

@@ -148,7 +148,7 @@ def discrete_soliton(kappa: float, params: ProblemParams, grid: CylinderGrid):
     """Angular-constant critical point of the grid functional at level kappa.
 
     On fields constant in phi the grid operator reduces exactly to one
-    dimension: the angular part of K vanishes and the interior mass is
+    dimension: no phi-edge carries a difference and the interior mass is
     ws_i wphi_j, so M^-1 K u is the three-point -d2/ds2 on the interior s
     nodes, and Z = W h sum |v|^p with W the angular total.  A bordered
     Newton iteration in (v, mu) solves -v'' + mu v = |v|^(p-2) v together

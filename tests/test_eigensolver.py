@@ -169,23 +169,55 @@ def test_restrict_embed_roundtrip():
     np.testing.assert_array_equal(full[:, 0], full[:, 1])
 
 
+def dense_B(g):
+    """The grid's mass-scaled interior stiffness, assembled from its diagonals."""
+    diag, off_phi, off_s = g.B
+    w = g.n_phi - 2
+    return (np.diag(diag) + np.diag(off_phi, 1) + np.diag(off_phi, -1)
+            + np.diag(off_s, w) + np.diag(off_s, -w))
+
+
+def polarized_B(g):
+    """B from the energy alone: K_ij = (E(e_i + e_j) - E(e_i) - E(e_j)) / 2 on
+    the interior nodes, scaled by m^-1/2 on both sides."""
+    nodes = [(i, j) for i in range(1, g.n_s - 1) for j in range(1, g.n_phi - 1)]
+
+    def energy(*idx):
+        v = np.zeros(g.shape)
+        for ij in idx:
+            v[ij] += 1.0
+        return dirichlet_energy(Field(g, v))
+
+    e = [energy(a) for a in nodes]
+    K = np.diag(e)
+    for a in range(len(nodes)):
+        for b in range(a + 1, len(nodes)):
+            K[a, b] = K[b, a] = 0.5 * (energy(nodes[a], nodes[b]) - e[a] - e[b])
+    isq = 1.0 / np.sqrt(g.m)
+    return isq[:, None] * K * isq[None, :]
+
+
 @pytest.mark.parametrize("n_s, n_phi", [(48, 10), (16, 8)])
 def test_band_storage_is_exact(n_s, n_phi):
-    # in s-major order B couples phi neighbours (offset 1) and s neighbours
-    # (offset n_phi - 2) only, so the band holds the shifted operator entry
-    # for entry and its Cholesky factor reproduces it
+    # in s-major order the energy couples phi neighbours (offset 1) and s
+    # neighbours (offset n_phi - 2) only, so the grid's three diagonals are
+    # the whole operator, the band holds the shifted operator entry for
+    # entry and its Cholesky factor reproduces it
     params = ProblemParams(D, P, 1.0, "surface")
     g = build_grid(8.0, n_s, n_phi, params)
     w = n_phi - 2
-    B = g.B.tocoo()
-    offsets = set((B.col - B.row)[B.data != 0].tolist())
-    assert offsets <= {0, 1, -1, w, -w}
+    B = dense_B(g)
+    ref = polarized_B(g)
+    assert np.abs(B - ref).max() <= 1e-12 * np.abs(ref).max()
     kappa, V, _ = soliton_problem(g, 2.0)
     op = CylinderOperator(kappa, V, g)
-    shift = np.linalg.eigvalsh(g.B.toarray() - np.diag(op.kv))[0] - 1.0
-    A = g.B.toarray() - np.diag(op.kv + shift)
+    shift = np.linalg.eigvalsh(B - np.diag(op.kv))[0] - 1.0
+    A = B - np.diag(op.kv + shift)
     upper = sp.dia_matrix((op.band(shift), np.arange(w, -1, -1)), shape=A.shape).toarray()
     np.testing.assert_array_equal(upper, np.triu(A))
+    y = np.random.RandomState(4).randn(op.n)
+    np.testing.assert_allclose(op.matvec(y), (B - np.diag(op.kv)) @ y,
+                               rtol=0, atol=1e-12 * np.abs(B).max())
     factor = SolverCache().preconditioner(op, shift).__self__
     UtU = (factor.L @ factor.U).toarray()
     assert np.abs(UtU - A).max() <= 1e-12 * np.abs(A).max()
@@ -198,7 +230,7 @@ def test_factor_is_positive_exactly_below_lowest_eigenvalue():
     g = build_grid(8.0, 48, 10, params)
     kappa, V, _ = soliton_problem(g, 2.0)
     op = CylinderOperator(kappa, V, g)
-    lams = np.linalg.eigvalsh(g.B.toarray() - np.diag(op.kv))
+    lams = np.linalg.eigvalsh(dense_B(g) - np.diag(op.kv))
     cache = SolverCache()
     for k in range(4):
         cache.preconditioner(op, lams[k] + 1e-3, rebuild=True)

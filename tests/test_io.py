@@ -1,8 +1,10 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,8 @@ from ckn.eigensolver import SolverCache
 from ckn.errors import CheckpointError, ConfigError, NonConvergenceError
 from ckn.fixedpoint import SELF_CONSISTENCY_TOL, eqmu_residual
 from ckn.io import (
+    _HEADER,
+    MAGIC,
     FieldStore,
     RunConfig,
     load_field,
@@ -77,6 +81,21 @@ def test_checkpoint_grid_mismatch(tmp_path, small_field):
             load_field(p, build_grid(L, n_s, 8, params))
     same = build_grid(8.0, 32, 8, ProblemParams(5, 2.8, 1.0, "surface"))
     np.testing.assert_array_equal(load_field(p, same).values, small_field.values)
+
+
+@pytest.mark.parametrize("n_s, n_phi", [(16, 9), (-16, -8)])
+def test_checkpoint_rejects_wrong_dimensions(tmp_path, n_s, n_phi):
+    # a header whose grid does not match the stored values, under a valid CRC
+    g = build_grid(8.0, 16, 8, ProblemParams(5, 2.8, 1.0, "surface"))
+    path = tmp_path / "f.ckn"
+    save_field(path, Field(g, np.ones(g.shape)))
+    raw = path.read_bytes()[:-4]
+    head = list(_HEADER.unpack_from(raw, len(MAGIC)))
+    head[-2:] = n_s, n_phi
+    raw = MAGIC + _HEADER.pack(*head) + raw[len(MAGIC) + _HEADER.size:]
+    path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF))
+    with pytest.raises(CheckpointError, match="do not hold"):
+        load_field(path)
 
 
 def test_field_store_sequential_ids(tmp_path, small_field):
@@ -169,6 +188,22 @@ def test_cli_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"p": 1.0}))
     assert cli.main(["symmetric-curve", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("over", [
+    {"theta_list": 0.8}, {"theta_list": [0.8, "0.9"]}, {"L": "8"}, {"n_s": 100.5},
+    {"n_phi": True}, {"d": 5.0}, {"eps": float("nan")}, None,
+], ids=["theta-scalar", "theta-str", "L-str", "ns-float", "nphi-bool", "d-float", "eps-nan",
+        "top-level-list"])
+def test_cli_mistyped_config_exit_code(tmp_path, capsys, over):
+    if over is None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+    else:
+        cfg = _tiny_config(tmp_path, **over)
+    assert cli.main(["branch", "--config", str(cfg)]) == 2
+    assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag", [["--ns", "10"], ["--nphi", "7"]], ids=["ns", "nphi"])
@@ -457,10 +492,10 @@ def test_cli_analyze_fails_on_damaged_crossing_checkpoint(tmp_path, capsys):
     assert "checksum mismatch" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_optimize_and_sparse_linalg():
+def test_cli_import_leaves_out_scipy_optimize_and_sparse():
     # a fresh interpreter, so no other test's imports count
     code = ("import sys, ckn.cli; ckn.cli.build_parser(); print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.optimize', 'scipy.sparse.linalg'))))")
+            "if m.startswith(('scipy.optimize', 'scipy.sparse'))))")
     src = str(Path(ckn.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60, check=True)

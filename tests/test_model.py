@@ -81,8 +81,8 @@ def test_pole_weights_vanish():
     g = build_grid(8.0, 100, 16, params)
     assert g.wphi[0] == 0.0
     assert g.wphi[-1] == 0.0
-    assert g.mphi[0] == 0.0
-    assert g.mphi[-1] == 0.0
+    assert np.all(g.ep[:, 0] == 0.0)
+    assert np.all(g.ep[:, -1] == 0.0)
     assert np.all(np.diff(g.s) > 0)
     assert np.all(np.diff(g.phi) > 0)
 
