@@ -26,6 +26,10 @@ from .symmetric import critical_value_sym, mu_FS, soliton, soliton_norms
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
+# the ray search of initialize opens at SEED_EPS; the start does not depend on it
+SEED_EPS = 0.05
+# the smallest mu of the symmetric curves (and of the default L), as a share of mu_FS
+MU_MIN_FACTOR = 0.1
 
 
 def _theta_tag(theta: float) -> str:
@@ -46,7 +50,7 @@ def _load_config(args) -> io.RunConfig:
 def _grid(config: io.RunConfig):
     params = config.params()
     mu_fs = mu_FS(config.p, config.d)
-    L = config.half_length(mu_fs * config.mu_min_factor)
+    L = config.half_length(mu_fs * MU_MIN_FACTOR)
     return build_grid(L, config.n_s, config.n_phi, params), params
 
 
@@ -54,7 +58,7 @@ def cmd_symmetric_curve(config: io.RunConfig, out: Path) -> list[Path]:
     """Closed-form symmetric curve tables, one CSV per theta."""
     files = []
     mu_fs = mu_FS(config.p, config.d)
-    mus = np.geomspace(config.mu_min_factor * mu_fs * 0.5, 40.0 * mu_fs, 400)
+    mus = np.geomspace(MU_MIN_FACTOR * mu_fs * 0.5, 40.0 * mu_fs, 400)
     X, Y, Z = soliton_norms(mus, config.p, config.d, config.measure_mode)
     for theta in config.theta_list:
         lam, J = analysis.curve_values(theta, mus, X, Y, Z, config.p)
@@ -77,7 +81,7 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
     t0 = time.perf_counter()
     try:
         start, fp = continuation.initialize(
-            config.mu0_factor * mu_fs, config.eps, grid, params, store, cache,
+            config.mu0_factor * mu_fs, SEED_EPS, grid, params, store, cache,
             tol=config.tol, eigen_tol=config.eigen_tol)
     except CknError as exc:
         # a failed start saves no checkpoint, but its reason is kept
@@ -139,7 +143,7 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
             "kappa_range": [branch.points[0].kappa, branch.points[-1].kappa],
         },
         "provenance": {
-            "mu0": config.mu0_factor * mu_fs, "eps": config.eps,
+            "mu0": config.mu0_factor * mu_fs, "eps": SEED_EPS,
             "seed_direction": ("golden-section minimum of the theta = 1 quotient on the ray "
                                "from u_sym along the transverse mode u_sym(s)^(p/2) cos(phi), "
                                "solved at kappa_sym(mu0)"),
@@ -204,7 +208,7 @@ def cmd_analyze(config: io.RunConfig, out: Path) -> list[Path]:
         nonsym = _branch_curves_from_csv(header_b, rows_b, theta)
         mu_hi = max(nonsym.mu.max() * 1.2, 4.0 * mu_fs)
         sym_smooth = analysis.symmetric_theta_curve(
-            params, theta, np.geomspace(config.mu_min_factor * mu_fs * 0.5, mu_hi, 600))
+            params, theta, np.geomspace(MU_MIN_FACTOR * mu_fs * 0.5, mu_hi, 600))
         sym = analysis.map_to_theta(sym_branch, theta)
         try:
             crossing = analysis.detect_crossing(sym, nonsym)
@@ -319,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--measure-mode", dest="measure_mode",
                         choices=("probability", "surface"))
         sp.add_argument("--mu0-factor", dest="mu0_factor", type=float)
-        sp.add_argument("--eps", type=float)
         sp.add_argument("--eta", type=float)
         sp.add_argument("--kappa-stop", dest="kappa_stop", type=float)
         sp.add_argument("--out", type=str)

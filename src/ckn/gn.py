@@ -1,13 +1,14 @@
-"""Banded Newton solver for the Euclidean ground state of -Lap u + u = u^(p-1).
+"""Banded solver for the Euclidean ground state of -Lap u + u = u^(p-1).
 
 The positive radial solution on R^d realizes the Gagliardo-Nirenberg
 infimum; combined with the balance constant k = theta^theta (1-theta)^(1-theta)
 at theta = d(p-2)/(2p) it gives the limit level of the critical-exponent
 curve for concentrating solutions.  -(r^(d-1) u')'/r^(d-1) + u = u^(p-1) is
 discretized by finite volumes on a uniform mesh of [0, r_max], u(r_max) = 0,
-so each Newton step is one tridiagonal solve.  Newton from the explicit
-d = 1 profile falls into u = 0 at d = 5 (the peak grows from 1.52 to 19.13
-at p = 2.8), so the solve is continued in d, a real parameter, from 1.  The
+so each iteration is one tridiagonal solve.  Newton alone from the explicit
+d = 1 profile fails at d = 5 (the peak grows from 1.52 to 19.13 at p = 2.8);
+Petviashvili's iteration (Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42,
+2004) converges from any positive start and hands Newton a close one.  The
 discrete equation gives X + Y = Z exactly but the Pohozaev identities only
 to O(h^2): the norms are Richardson-extrapolated from N and 2N cells, and
 the extrapolated identities are the certificate.  The ground state is
@@ -29,7 +30,8 @@ from .symmetric import _banded_matvec, soliton
 R_MAX = 50.0
 N_CELLS = 4000  # coarse mesh; the norms are extrapolated from N and 2N cells
 N_CELLS_MAX = 256000
-D_STEPS = 8
+PETVIASHVILI_TOL = 1e-3  # Newton takes over once the update is this share of the peak
+PETVIASHVILI_MAX_STEPS = 1000  # p = 3.3 at d = 5 takes about 190
 # the mesh pair is doubled until the extrapolated Pohozaev identities hold to
 # this; near the critical exponent the peak narrows and needs finer meshes
 POHOZAEV_TARGET = 1e-8
@@ -64,11 +66,13 @@ class RadialProfile:
 
 
 def _solve(u: np.ndarray, p: float, d: float, r_max: float):
-    """Newton on the mesh of len(u) cells in dimension d, started from u.
+    """Petviashvili, then Newton, on the mesh of len(u) cells in dimension d.
 
     Node i sits at r_i = i h, h = r_max / n, with the cell [r_i - h/2, r_i + h/2]
     cut at 0; u_n = 0.  Face i + 1/2 carries the flux weight r^(d-1)/h, the
-    origin none (u'(0) = 0).  Returns (u, [X, Y, Z] per unit sphere area).
+    origin none (u'(0) = 0).  With L = -Lap_r + 1 and N(u) = vol u^(p-1) on this
+    band, u <- M^((p-1)/(p-2)) L^-1 N(u), M = <u, Lu> / <u, N(u)>, runs from the
+    positive start u.  Returns (u, [X, Y, Z] per unit sphere area).
     """
     n = len(u)
     h = r_max / n
@@ -77,13 +81,22 @@ def _solve(u: np.ndarray, p: float, d: float, r_max: float):
     vol = np.diff(np.concatenate([[0.0], faces]) ** d) / d
     ab = np.zeros((3, n))
     ab[0, 1:] = ab[2, :-1] = -w[:-1]
-    ab[1] = w
+    ab[1] = w + vol
     ab[1, 1:] += w[:-1]
+    for _ in range(PETVIASHVILI_MAX_STEPS):
+        nonlin = vol * np.abs(u) ** (p - 2.0) * u
+        m = (u @ _banded_matvec(ab, u)) / (u @ nonlin)
+        du = m ** ((p - 1.0) / (p - 2.0)) * solve_banded((1, 1), ab, nonlin) - u
+        u = u + du
+        if np.max(np.abs(du)) <= PETVIASHVILI_TOL * np.max(np.abs(u)):
+            break
+    else:
+        raise NonConvergenceError(f"Petviashvili's iteration stalled on the {n}-cell radial mesh")
     for _ in range(30):
         a = np.abs(u) ** (p - 2.0)
-        F = _banded_matvec(ab, u) + vol * (u - a * u)
+        F = _banded_matvec(ab, u) - vol * a * u
         jac = ab.copy()
-        jac[1] += vol * (1.0 - (p - 1.0) * a)
+        jac[1] -= vol * (p - 1.0) * a
         du = solve_banded((1, 1), jac, F)
         u = u - du
         if not np.all(np.isfinite(u)):
@@ -92,33 +105,6 @@ def _solve(u: np.ndarray, p: float, d: float, r_max: float):
             grad = np.diff(np.append(u, 0.0))
             return u, np.array([w @ grad**2, vol @ u**2, vol @ np.abs(u) ** p])
     raise NonConvergenceError(f"Newton failed on the {n}-cell radial mesh at d = {d:.6g}")
-
-
-def _continue_in_d(u: np.ndarray, p: float, d: int, r_max: float) -> np.ndarray:
-    """Carry the d = 1 ground state to dimension d in steps of (d-1)/D_STEPS.
-
-    Each step starts Newton from the secant predictor through the last two
-    solutions and is halved when Newton fails or lands below the previous
-    peak (the peak grows with d; a lower one is the fall towards u = 0).
-    """
-    dim, prev = 1.0, None
-    h_max = (d - 1.0) / D_STEPS
-    step = h_max
-    while dim < d:
-        nxt = min(float(d), dim + step)
-        guess = u if prev is None else u + (u - prev[1]) * (nxt - dim) / (dim - prev[0])
-        try:
-            sol, _ = _solve(guess, p, nxt, r_max)
-        except NonConvergenceError:
-            sol = None
-        if sol is None or sol[0] <= u[0] or sol.min() < 0.0:
-            step *= 0.5
-            if step < h_max / 64.0:
-                raise NonConvergenceError(f"continuation in d stalled at d = {dim:.6g}")
-            continue
-        prev, u, dim = (dim, u), sol, nxt
-        step = min(2.0 * step, h_max)
-    return u
 
 
 def radial_ground_state(p: float, d: int, r_max: float = R_MAX) -> RadialProfile:
@@ -135,8 +121,7 @@ def radial_ground_state(p: float, d: int, r_max: float = R_MAX) -> RadialProfile
         raise ValueError(f"p={p} is supercritical for d={d}")
 
     r = np.linspace(0.0, r_max, N_CELLS + 1)[:-1]
-    u = _continue_in_d(soliton(1.0, p).u(r), p, d, r_max)
-    coarse = _solve(u, p, d, r_max)
+    coarse = _solve(soliton(1.0, p).u(r), p, d, r_max)
     while True:
         n = len(coarse[0])
         r = np.linspace(0.0, r_max, 2 * n + 1)

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .model import MIN_N_PHI, MIN_N_S, CylinderGrid, Field, ProblemParams, build_grid
+from .model import MIN_N_PHI, MIN_N_S, CylinderGrid, Field, ProblemParams
 
 MAGIC = b"CKNFLD01"
 CHECKPOINT_VERSION = 1
@@ -57,7 +57,7 @@ def save_field(path, u: Field) -> None:
     _atomic_write(Path(path), payload + crc)
 
 
-def load_field(path, grid: CylinderGrid | None = None) -> Field:
+def load_field(path, grid: CylinderGrid) -> Field:
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + _HEADER.size + 4:
         raise CheckpointError(f"{path}: truncated checkpoint")
@@ -74,9 +74,7 @@ def load_field(path, grid: CylinderGrid | None = None) -> Field:
         raise CheckpointError(f"{path}: {len(body)} value bytes do not hold a {n_s}x{n_phi} grid")
     values = np.frombuffer(body, dtype="<f8").reshape(n_s, n_phi).copy()
     mode_name = "probability" if mode == 0 else "surface"
-    if grid is None:
-        grid = build_grid(L, n_s, n_phi, ProblemParams(d, p, 1.0, mode_name))
-    elif (grid.d, grid.p, grid.measure_mode, grid.L, grid.n_s, grid.n_phi) != (
+    if (grid.d, grid.p, grid.measure_mode, grid.L, grid.n_s, grid.n_phi) != (
             d, p, mode_name, L, n_s, n_phi):
         raise CheckpointError(f"{path}: checkpoint does not match the supplied grid")
     return Field(grid, values)
@@ -102,7 +100,7 @@ class FieldStore:
         save_field(self.dir / f"{cid}.ckn", u)
         return cid
 
-    def load(self, cid: str, grid: CylinderGrid | None = None) -> Field:
+    def load(self, cid: str, grid: CylinderGrid) -> Field:
         path = self.dir / f"{cid}.ckn"
         if not path.exists():
             raise CheckpointError(f"checkpoint {cid} not found in {self.dir}")
@@ -120,8 +118,8 @@ _ADMITS = {
     "float": (_positive, "a positive number"),
     "float | None": (lambda x: x is None or _positive(x), "a positive number or null"),
     "str": (lambda x: isinstance(x, str), "a string"),
-    "list": (lambda x: isinstance(x, list) and all(map(_positive, x)),
-             "a list of positive numbers"),
+    "list": (lambda x: isinstance(x, list) and len(x) > 0 and all(map(_positive, x)),
+             "a non-empty list of positive numbers"),
 }
 
 
@@ -137,10 +135,8 @@ class RunConfig:
     n_s: int = 400
     n_phi: int = 48
     mu0_factor: float = 1.2
-    eps: float = 0.05
     eta: float | None = None
     kappa_stop: float | None = None
-    mu_min_factor: float = 0.1
     tol: float = 1e-10
     eigen_tol: float = 1e-9
     out: str = "ckn_out"

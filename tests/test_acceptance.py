@@ -204,7 +204,7 @@ def test_criterion_8_determinism(tmp_path):
     u = Field(g, rng.rand(*g.shape))
     p1, p2 = tmp_path / "a.ckn", tmp_path / "b.ckn"
     save_field(p1, u)
-    save_field(p2, load_field(p1))
+    save_field(p2, load_field(p1, g))
     bitwise = p1.read_bytes() == p2.read_bytes()
 
     kappas = []

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ckn.gn import J_infinity, balance_constant, radial_ground_state
+from ckn.gn import N_CELLS, R_MAX, J_infinity, _solve, balance_constant, radial_ground_state
 from ckn.model import sphere_area
+from ckn.symmetric import soliton
 
 P, D = 2.8, 5
 
@@ -33,26 +34,40 @@ def test_profile_shape(profile):
     assert profile.u[-1] <= 1e-6 * profile.u0
 
 
-def test_newton_certificate(profile):
-    # re-solve on the profile's own mesh and check the finite-volume
-    # equations, written out here independently of the solver
-    from ckn.gn import _solve
-
-    n = len(profile.r) - 1
-    h = profile.r[-1] / n
-    u, (X, Y, Z) = _solve(profile.u[:-1], P, D, profile.r[-1])
+def _assert_finite_volume_solution(u, X, Y, Z, p, d, r_max):
+    # the finite-volume equations, written out here independently of the
+    # solver, and the shape of the ground state
+    n = len(u)
+    h = r_max / n
     faces = (np.arange(n) + 0.5) * h
-    vol = np.diff(np.concatenate([[0.0], faces]) ** D) / D
-    flux = faces ** (D - 1) * np.diff(np.append(u, 0.0)) / h
-    res = np.concatenate([[0.0], flux[:-1]]) - flux + vol * (u - u ** (P - 1))
-    assert np.max(np.abs(res)) <= 1e-10 * np.max(vol * u ** (P - 1))
+    vol = np.diff(np.concatenate([[0.0], faces]) ** d) / d
+    flux = faces ** (d - 1) * np.diff(np.append(u, 0.0)) / h
+    res = np.concatenate([[0.0], flux[:-1]]) - flux + vol * (u - u ** (p - 1))
+    assert np.max(np.abs(res)) <= 1e-10 * np.max(vol * u ** (p - 1))
     assert np.all(u > 0)
     assert np.all(np.diff(u) <= 1e-12 * u[0])
     assert X + Y == pytest.approx(Z, rel=1e-10)  # exact on the mesh
+
+
+def test_newton_certificate(profile):
+    # re-solve on the profile's own mesh
+    u, (X, Y, Z) = _solve(profile.u[:-1], P, D, profile.r[-1])
+    _assert_finite_volume_solution(u, X, Y, Z, P, D, profile.r[-1])
     # one mesh alone misses Pohozaev by O(h^2); the extrapolated norms do not
     th = 5.0 / 7.0
     assert abs(X - th * Z) / Z > 1e-6
     assert max(profile.pohozaev_residuals()) <= 1e-8
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("p", [2.7, 2.8, 3.0])
+def test_solve_from_one_dimensional_profile(p, d):
+    # one solve reaches the ground state in dimension d from the explicit
+    # d = 1 profile; Newton alone from there fails at d = 4 and 5 or lands
+    # on -u
+    r = np.linspace(0.0, R_MAX, N_CELLS + 1)[:-1]
+    u, (X, Y, Z) = _solve(soliton(1.0, p).u(r), p, d, R_MAX)
+    _assert_finite_volume_solution(u, X, Y, Z, p, d, R_MAX)
 
 
 @pytest.mark.parametrize("p, j_ref", [
@@ -61,7 +76,7 @@ def test_newton_certificate(profile):
 def test_J_infinity_matches_shooting(p, j_ref):
     # reference levels from adaptive RK45 shooting with bisection on u(0) to
     # 1e-12; near the critical exponent 10/3 the peak narrows (u(0) = 159 at
-    # p = 3.3), which takes halved continuation steps and finer mesh pairs
+    # p = 3.3), which takes more Petviashvili steps and finer mesh pairs
     assert J_infinity(p, D, "surface") == pytest.approx(j_ref, rel=1e-8)
 
 

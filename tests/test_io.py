@@ -42,7 +42,7 @@ def test_checkpoint_bitwise_roundtrip(tmp_path, small_field):
     p1 = tmp_path / "a.ckn"
     p2 = tmp_path / "b.ckn"
     save_field(p1, small_field)
-    u = load_field(p1)
+    u = load_field(p1, small_field.grid)
     save_field(p2, u)
     assert p1.read_bytes() == p2.read_bytes()
     np.testing.assert_array_equal(u.values, small_field.values)
@@ -57,7 +57,7 @@ def test_checkpoint_rejects_corruption(tmp_path, small_field):
     raw[60] ^= 0xFF
     p.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
-        load_field(p)
+        load_field(p, small_field.grid)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path, small_field):
@@ -67,7 +67,7 @@ def test_checkpoint_rejects_bad_magic(tmp_path, small_field):
     raw[0] = ord("X")
     p.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
-        load_field(p)
+        load_field(p, small_field.grid)
 
 
 def test_checkpoint_grid_mismatch(tmp_path, small_field):
@@ -95,17 +95,17 @@ def test_checkpoint_rejects_wrong_dimensions(tmp_path, n_s, n_phi):
     raw = MAGIC + _HEADER.pack(*head) + raw[len(MAGIC) + _HEADER.size:]
     path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF))
     with pytest.raises(CheckpointError, match="do not hold"):
-        load_field(path)
+        load_field(path, g)
 
 
 def test_field_store_sequential_ids(tmp_path, small_field):
     store = FieldStore(tmp_path / "cps")
     ids = [store.save(small_field) for _ in range(3)]
     assert ids == ["cp_00000", "cp_00001", "cp_00002"]
-    u = store.load("cp_00001")
+    u = store.load("cp_00001", small_field.grid)
     np.testing.assert_array_equal(u.values, small_field.values)
     with pytest.raises(CheckpointError):
-        store.load("cp_99999")
+        store.load("cp_99999", small_field.grid)
 
 
 def test_config_roundtrip():
@@ -124,6 +124,10 @@ def test_config_validation():
         RunConfig(n_s=-5)
     with pytest.raises(ConfigError):
         RunConfig.from_json(json.dumps({"bogus_key": 1}))
+    # the ray search's eps and the mu floor are constants, not config keys
+    for key, value in [("eps", 0.05), ("mu_min_factor", 0.1)]:
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            RunConfig.from_json(json.dumps({key: value}))
     with pytest.raises(ConfigError):
         RunConfig.from_json("{not json")
 
@@ -134,6 +138,8 @@ def test_config_half_length():
     assert cfg.half_length(0.25) == 24.0     # 12/sqrt(0.25)
     cfg2 = RunConfig(L=5.5)
     assert cfg2.half_length(0.25) == 5.5
+    # the CLI's default L comes from the mu floor 0.1 mu_FS: 18.6 at p = 2.8
+    assert cli._grid(cfg)[0].L == 12.0 / np.sqrt(mu_FS(2.8, 5) * 0.1)
 
 
 def test_csv_roundtrip_exact_floats(tmp_path):
@@ -153,13 +159,18 @@ def test_csv_roundtrip_exact_floats(tmp_path):
 
 def _tiny_config(tmp_path, **over):
     data = dict(d=5, p=2.8, theta_list=[0.714286, 1.0], measure_mode="surface",
-                L=8.0, n_s=48, n_phi=10, mu0_factor=1.2, eps=0.05,
-                eta=0.6, kappa_stop=19.0, mu_min_factor=0.1,
+                L=8.0, n_s=48, n_phi=10, mu0_factor=1.2,
+                eta=0.6, kappa_stop=19.0,
                 out=str(tmp_path / "out"), run_id="cli-test")
     data.update(over)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     return cfg
+
+
+def _config_grid(cfg):
+    """The grid that the CLI builds for the config file cfg."""
+    return cli._grid(RunConfig.load(cfg))[0]
 
 
 def test_cli_symmetric_curve_deterministic(tmp_path):
@@ -192,9 +203,9 @@ def test_cli_config_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize("over", [
     {"theta_list": 0.8}, {"theta_list": [0.8, "0.9"]}, {"L": "8"}, {"n_s": 100.5},
-    {"n_phi": True}, {"d": 5.0}, {"eps": float("nan")}, None,
-], ids=["theta-scalar", "theta-str", "L-str", "ns-float", "nphi-bool", "d-float", "eps-nan",
-        "top-level-list"])
+    {"n_phi": True}, {"d": 5.0}, {"mu0_factor": float("nan")}, None,
+], ids=["theta-scalar", "theta-str", "L-str", "ns-float", "nphi-bool", "d-float",
+        "mu0-factor-nan", "top-level-list"])
 def test_cli_mistyped_config_exit_code(tmp_path, capsys, over):
     if over is None:
         cfg = tmp_path / "cfg.json"
@@ -203,6 +214,14 @@ def test_cli_mistyped_config_exit_code(tmp_path, capsys, over):
         cfg = _tiny_config(tmp_path, **over)
     assert cli.main(["branch", "--config", str(cfg)]) == 2
     assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["symmetric-curve", "branch", "analyze"])
+def test_cli_empty_theta_list_exit_code(tmp_path, capsys, command):
+    cfg = _tiny_config(tmp_path, theta_list=[])
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert "non-empty" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -276,7 +295,7 @@ def test_cli_branch_passes_tolerances(tmp_path, monkeypatch):
 
 
 def test_cli_branch_outputs(cli_branch_run):
-    rc, out, _, _, _ = cli_branch_run
+    rc, out, cfg, _, _ = cli_branch_run
     assert rc == 0
     comments, header, rows = read_csv(out / "branch.csv")
     assert header[:2] == ["kappa", "mu"]
@@ -295,7 +314,7 @@ def test_cli_branch_outputs(cli_branch_run):
     # checkpoints referenced by the CSV exist on disk
     refs = [r[header.index("checkpoint")] for r in rows]
     store = FieldStore(out / "checkpoints")
-    u = store.load(refs[0])
+    u = store.load(refs[0], _config_grid(cfg))
     assert u.values.shape == (96, 12)
 
 
@@ -304,8 +323,9 @@ def test_cli_branch_certificates(cli_branch_run):
     # point's self-consistency gap and its work counters; the one other
     # row, the down walk's discrete terminal point, has no gap and no
     # counters
-    rc, out, _, lu_solves, factorizations = cli_branch_run
+    rc, out, cfg, lu_solves, factorizations = cli_branch_run
     assert rc == 0
+    grid = _config_grid(cfg)
     _, header, rows = read_csv(out / "branch.csv")
     i_mu, i_cp = header.index("mu"), header.index("checkpoint")
     i_res, i_gap = header.index("residual"), header.index("gap")
@@ -316,7 +336,7 @@ def test_cli_branch_certificates(cli_branch_run):
     computed = [r for r in rows if np.isfinite(r[i_gap])]
     assert len(computed) == len(rows) - 1 >= 1
     for row in computed:
-        assert row[i_res] == eqmu_residual(store.load(row[i_cp]), row[i_mu])
+        assert row[i_res] == eqmu_residual(store.load(row[i_cp], grid), row[i_mu])
         assert row[i_gap] <= SELF_CONSISTENCY_TOL
         assert row[i_it] == int(row[i_it]) and 1 <= row[i_it] <= row[i_eig]
         assert row[i_lu] == int(row[i_lu]) and row[i_lu] >= 1
@@ -328,7 +348,7 @@ def test_cli_branch_certificates(cli_branch_run):
     assert manifest["convergence"]["factorizations"] == factorizations >= 1
     for row in rows:
         if not np.isfinite(row[i_gap]):
-            assert row[i_res] == eqmu_residual(store.load(row[i_cp]), row[i_mu])
+            assert row[i_res] == eqmu_residual(store.load(row[i_cp], grid), row[i_mu])
             assert np.isnan(row[i_it]) and np.isnan(row[i_eig]) and np.isnan(row[i_lu])
 
 
@@ -349,9 +369,9 @@ def test_cli_analyze_outputs(cli_branch_run):
     # its own field afterwards
     _, bheader, brows = read_csv(out / "branch.csv")
     i_cp, i_asym = bheader.index("checkpoint"), bheader.index("asymmetry")
-    store = FieldStore(out / "checkpoints")
+    store, grid = FieldStore(out / "checkpoints"), _config_grid(cfg)
     for row in brows:
-        u = store.load(row[i_cp])
+        u = store.load(row[i_cp], grid)
         assert asymmetry(u) == pytest.approx(row[i_asym], rel=1e-12, abs=1e-12)
 
 
@@ -441,10 +461,10 @@ def test_cli_branch_stall_keeps_partial_results(tmp_path, monkeypatch):
     kappas = [r[0] for r in rows]
     assert np.all(np.diff(kappas) > 0)
     assert kappas[-1] == pytest.approx(seen[0], rel=1e-12)
-    store = FieldStore(out / "checkpoints")
+    store, grid = FieldStore(out / "checkpoints"), _config_grid(cfg)
     i_cp, i_asym = header.index("checkpoint"), header.index("asymmetry")
     for row in rows:
-        assert asymmetry(store.load(row[i_cp])) == pytest.approx(row[i_asym], abs=1e-12)
+        assert asymmetry(store.load(row[i_cp], grid)) == pytest.approx(row[i_asym], abs=1e-12)
 
 
 def test_cli_branch_point_cap_keeps_partial_results(tmp_path, monkeypatch):
