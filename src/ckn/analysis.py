@@ -65,14 +65,10 @@ def map_to_theta(branch, theta: float) -> ThetaCurve:
     tc = theta_critical(params.p, params.d)
     if not tc - 1e-12 <= theta <= 1.0 + 1e-12:
         raise ValueError(f"theta={theta} outside [{tc}, 1]")
-    mu = np.array([pt.mu for pt in branch.points])
-    X = np.array([pt.X for pt in branch.points])
-    Y = np.array([pt.Y for pt in branch.points])
-    Z = np.array([pt.Z for pt in branch.points])
-    asym = np.array([pt.asymmetry for pt in branch.points])
-    Lam, J = curve_values(theta, mu, X, Y, Z, params.p)
+    mu = branch.column("mu")
+    Lam, J = curve_values(theta, mu, *map(branch.column, ("X", "Y", "Z")), params.p)
     return ThetaCurve(theta=theta, mu=mu, Lambda=Lam, J=J,
-                      symmetric=asym <= ASYMMETRY_BIFURCATED)
+                      symmetric=branch.column("asymmetry") <= ASYMMETRY_BIFURCATED)
 
 
 def symmetric_theta_curve(params: ProblemParams, theta: float,
@@ -218,6 +214,24 @@ def min_envelope(curves: list[ThetaCurve], Lambda_grid):
     jumps = [0.5 * (l0 + l1) for (l0, _, s0), (l1, _, s1) in zip(rows, rows[1:])
              if s0 >= 0 and s1 >= 0 and s0 != s1]
     return rows, jumps
+
+
+def compare(sym: ThetaCurve, nonsym: ThetaCurve):
+    """Crossing and minimizing envelope of a branch's curve `nonsym` against
+    its symmetric reference's curve `sym`, at one theta.
+
+    Returns (crossing, ambiguous, rows, jumps): an ambiguous crossing keeps
+    its first candidate (or None), and rows and jumps are `min_envelope`'s
+    for the reference and the branch's non-symmetric points on 400 Lambdas
+    from the reference's smallest to the smaller of the two curves' largest.
+    """
+    try:
+        crossing, ambiguous = detect_crossing(sym, nonsym), False
+    except AmbiguousCrossingError as exc:
+        crossing, ambiguous = (exc.crossings[0] if exc.crossings else None), True
+    grid = np.linspace(sym.Lambda.min(), min(nonsym.Lambda.max(), sym.Lambda.max()), 400)
+    # the branch's symmetric terminal row only duplicates the reference
+    return (crossing, ambiguous, *min_envelope([sym, nonsym.nonsymmetric()], grid))
 
 
 def lambda_GN(p: float, d: int, J_inf: float, measure_mode: str = "surface") -> float:

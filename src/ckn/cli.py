@@ -20,8 +20,8 @@ import numpy as np
 from . import analysis, continuation, gn, io, svg
 from .errors import CheckpointError, CknError, ConfigError, NonConvergenceError, StepFailureError
 from .eigensolver import SolverCache
-from .model import build_grid, theta_critical
-from .symmetric import critical_value_sym, mu_FS, soliton, soliton_norms
+from .model import ProblemParams, build_grid, theta_critical
+from .symmetric import mu_FS, soliton, soliton_norms
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -30,10 +30,8 @@ EXIT_IO = 4
 SEED_EPS = 0.05
 # the smallest mu of the symmetric curves (and of the default L), as a share of mu_FS
 MU_MIN_FACTOR = 0.1
-
-
-def _theta_tag(theta: float) -> str:
-    return f"{theta:.6f}"
+# the branch starts at the level of the soliton mu0 = MU0_FACTOR mu_FS
+MU0_FACTOR = 1.2
 
 
 def _load_config(args) -> io.RunConfig:
@@ -63,7 +61,7 @@ def cmd_symmetric_curve(config: io.RunConfig, out: Path) -> list[Path]:
     for theta in config.theta_list:
         lam, J = analysis.curve_values(theta, mus, X, Y, Z, config.p)
         rows = zip(*(a.tolist() for a in (mus, lam, J, X / Y, X, Y, Z)))
-        path = out / f"sym_curve_{_theta_tag(theta)}.csv"
+        path = out / f"sym_curve_{io.theta_tag(theta)}.csv"
         io.write_csv(path, io.config_echo(config) + [f"theta: {theta!r}"],
                      ["mu", "Lambda", "J", "t", "X", "Y", "Z"], rows)
         files.append(path)
@@ -81,7 +79,7 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
     t0 = time.perf_counter()
     try:
         start, fp = continuation.initialize(
-            config.mu0_factor * mu_fs, SEED_EPS, grid, params, store, cache,
+            MU0_FACTOR * mu_fs, SEED_EPS, grid, params, store, cache,
             tol=config.tol, eigen_tol=config.eigen_tol)
     except CknError as exc:
         # a failed start saves no checkpoint, but its reason is kept
@@ -111,23 +109,8 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
     branch = functools.reduce(continuation.merge_branches, walks)
     timings["branch_seconds"] = time.perf_counter() - t0
 
-    header = ["kappa", "mu"]
-    for theta in config.theta_list:
-        header.append(f"Lambda_{_theta_tag(theta)}")
-    for theta in config.theta_list:
-        header.append(f"J_{_theta_tag(theta)}")
-    header += ["residual", "gap", "iterations", "eigen_iterations", "lu_solves", "t",
-               "asymmetry", "checkpoint"]
-    rows = []
-    for pt in branch.points:
-        vals = [analysis.curve_values(theta, pt.mu, pt.X, pt.Y, pt.Z, config.p)
-                for theta in config.theta_list]
-        rows.append([pt.kappa, pt.mu] + [float(lam) for lam, _ in vals]
-                    + [float(J) for _, J in vals]
-                    + [pt.residual, pt.gap, pt.iterations, pt.eigen_iterations,
-                       pt.lu_solves, pt.t, pt.asymmetry, pt.field_ref])
     path = out / "branch.csv"
-    io.write_csv(path, io.config_echo(config), header, rows)
+    _write_branch(path, config, branch)
 
     n_points = {w.provenance["direction"]: len(w.points) for w in walks}
     io.write_manifest(manifest, config, {
@@ -143,7 +126,7 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
             "kappa_range": [branch.points[0].kappa, branch.points[-1].kappa],
         },
         "provenance": {
-            "mu0": config.mu0_factor * mu_fs, "eps": SEED_EPS,
+            "mu0": MU0_FACTOR * mu_fs, "eps": SEED_EPS,
             "seed_direction": ("golden-section minimum of the theta = 1 quotient on the ray "
                                "from u_sym along the transverse mode u_sym(s)^(p/2) cos(phi), "
                                "solved at kappa_sym(mu0)"),
@@ -155,16 +138,28 @@ def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
     return [path, manifest]
 
 
-def _branch_curves_from_csv(header, rows, theta: float):
-    """The theta curve of the parsed branch.csv columns `header` and `rows`."""
-    tag = f"Lambda_{_theta_tag(theta)}"
-    if tag not in header:
-        raise ConfigError(f"branch.csv has no columns for theta={theta}")
-    iL, iJ = header.index(tag), header.index(f"J_{_theta_tag(theta)}")
-    i_mu, i_asym = header.index("mu"), header.index("asymmetry")
-    mu, Lam, J, asym = (np.array([r[i] for r in rows]) for i in (i_mu, iL, iJ, i_asym))
-    return analysis.ThetaCurve(theta=theta, mu=mu, Lambda=Lam, J=J,
-                               symmetric=asym <= continuation.ASYMMETRY_BIFURCATED)
+_COLUMNS = [f.name for f in dataclasses.fields(continuation.BranchPoint)]
+
+
+def _write_branch(path: Path, config: io.RunConfig, branch: continuation.Branch):
+    """branch.csv: a column per BranchPoint field, each theta's Lambda and J after mu."""
+    cols = [[getattr(pt, c) for pt in branch.points] for c in _COLUMNS]
+    norms = [branch.column(c) for c in ("mu", "X", "Y", "Z")]
+    lams, Js = zip(*(analysis.curve_values(th, *norms, config.p) for th in config.theta_list))
+    tags = [io.theta_tag(theta) for theta in config.theta_list]
+    header = _COLUMNS[:2] + [f"Lambda_{t}" for t in tags] + [f"J_{t}" for t in tags] + _COLUMNS[2:]
+    io.write_csv(path, io.config_echo(config), header,
+                 zip(*cols[:2], *(a.tolist() for a in lams + Js), *cols[2:]))
+
+
+def _read_branch(path: Path, params: ProblemParams) -> continuation.Branch:
+    """The Branch that `_write_branch` wrote to path, bit for bit."""
+    _, header, rows = io.read_csv(path)
+    missing = [c for c in _COLUMNS if c not in header]
+    if missing:
+        raise CheckpointError(f"{path} has no column {missing[0]}: run the branch command again")
+    return continuation.Branch(params, [continuation.BranchPoint(
+        **{c: row[header.index(c)] for c in _COLUMNS}) for row in rows])
 
 
 def _field_contour_csv(config, out: Path, name: str, field) -> Path:
@@ -180,77 +175,49 @@ def _field_contour_csv(config, out: Path, name: str, field) -> Path:
 
 def cmd_analyze(config: io.RunConfig, out: Path) -> list[Path]:
     """Crossings, envelopes, existence threshold, and SVG diagrams."""
-    branch_csv = out / "branch.csv"
-    if not branch_csv.exists():
-        raise FileNotFoundError(f"{branch_csv} not found: run the branch command first")
-    _, header_b, rows_b = io.read_csv(branch_csv)
-    i_mu, i_cp = header_b.index("mu"), header_b.index("checkpoint")
     grid, params = _grid(config)
+    branch = _read_branch(out / "branch.csv", params)
     store = io.FieldStore(out / "checkpoints")
     # a branch computed on another grid raises CheckpointError before any output
-    store.load(rows_b[0][i_cp], grid)
+    store.load(branch.points[0].checkpoint, grid)
     files = cmd_gn_limit(config, out)
-    mu_fs = mu_FS(config.p, config.d)
-
-    # Symmetric reference resolved by the same discrete functional as the
-    # branch, so the tiny J gaps near a crossing are bias-cancelled.
-    kappa_fs = critical_value_sym(mu_fs, params)
-    kap_branch = np.array([r[header_b.index("kappa")] for r in rows_b], dtype=float)
-    kap_hi = max(kap_branch.max(), 1.5 * kappa_fs)
-    kappas = np.concatenate([
-        np.geomspace(0.3 * kappa_fs, kap_hi, 60),
-        np.linspace(0.985 * kappa_fs, 1.02 * kappa_fs, 40),
-    ])
-    sym_branch = continuation.symmetric_discrete_branch(kappas, grid, params)
+    # resolved by the same discrete functional as the branch, so the tiny
+    # J gaps near a crossing are bias-cancelled
+    reference = continuation.symmetric_reference(branch, grid, params)
 
     crossing_rows = []
     for theta in config.theta_list:
-        nonsym = _branch_curves_from_csv(header_b, rows_b, theta)
-        mu_hi = max(nonsym.mu.max() * 1.2, 4.0 * mu_fs)
-        sym_smooth = analysis.symmetric_theta_curve(
-            params, theta, np.geomspace(MU_MIN_FACTOR * mu_fs * 0.5, mu_hi, 600))
-        sym = analysis.map_to_theta(sym_branch, theta)
-        try:
-            crossing = analysis.detect_crossing(sym, nonsym)
-            flagged = False
-        except analysis.AmbiguousCrossingError as exc:
-            crossing = exc.crossings[0] if exc.crossings else None
-            flagged = True
+        tag = io.theta_tag(theta)
+        sym, nonsym = analysis.map_to_theta(reference, theta), analysis.map_to_theta(branch, theta)
+        crossing, ambiguous, envelope, jumps = analysis.compare(sym, nonsym)
+        flag = "true" if ambiguous else "false"
         if crossing is None:
-            crossing_rows.append((theta, float("nan"), float("nan"), float("nan"),
-                                  "false", "true" if flagged else "false"))
+            crossing_rows.append((theta, float("nan"), float("nan"), float("nan"), "false", flag))
         else:
-            crossing_rows.append((theta, crossing.Lambda1, crossing.mu1_star,
-                                  crossing.mu1, "true", "true" if flagged else "false"))
+            crossing_rows.append((theta, crossing.Lambda1, crossing.mu1_star, crossing.mu1,
+                                  "true", flag))
 
-        lo = np.min(sym.Lambda)
-        hi = min(np.max(nonsym.Lambda), np.max(sym.Lambda))
-        grid_l = np.linspace(lo, hi, 400)
-        # the branch's symmetric terminal row only duplicates the reference
-        rows, jumps = analysis.min_envelope([sym, nonsym.nonsymmetric()], grid_l)
-        env_path = out / f"envelope_{_theta_tag(theta)}.csv"
+        env_path = out / f"envelope_{tag}.csv"
         io.write_csv(env_path, io.config_echo(config) + [f"jumps: {jumps!r}"],
                      ["Lambda", "J_min", "source"],
                      [(l, j, ("symmetric", "branch")[s] if s >= 0 else "none")
-                      for (l, j, s) in rows])
+                      for (l, j, s) in envelope])
         files.append(env_path)
 
-        diagram = out / f"diagram_{_theta_tag(theta)}.svg"
-        ok = np.isfinite([r[1] for r in rows])
-        env_xy = (np.array([r[0] for r in rows])[ok], np.array([r[1] for r in rows])[ok])
+        diagram = out / f"diagram_{tag}.svg"
+        # render_diagram skips the envelope's nan rows
         svg.render_diagram(
-            diagram, (nonsym.Lambda, nonsym.J), (sym_smooth.Lambda, sym_smooth.J), env_xy,
-            title=f"d={config.d} p={config.p} theta={theta:.4f}")
+            diagram, (nonsym.Lambda, nonsym.J), (sym.Lambda, sym.J),
+            tuple(zip(*envelope))[:2], title=f"d={config.d} p={config.p} theta={theta:.4f}")
         files.append(diagram)
 
-        if crossing is not None and not flagged:
-            near = min(rows_b, key=lambda r: abs(r[i_mu] - crossing.mu1))
-            fld = store.load(near[i_cp], grid)
-            files.append(_field_contour_csv(
-                config, out, f"crossing_field_mu1_{_theta_tag(theta)}.csv", fld))
+        if crossing is not None and not ambiguous:
+            near = min(branch.points, key=lambda pt: abs(pt.mu - crossing.mu1))
+            files.append(_field_contour_csv(config, out, f"crossing_field_mu1_{tag}.csv",
+                                            store.load(near.checkpoint, grid)))
             u_star = soliton(crossing.mu1_star, config.p).sample(grid)
             files.append(_field_contour_csv(
-                config, out, f"crossing_field_mu1_star_{_theta_tag(theta)}.csv", u_star))
+                config, out, f"crossing_field_mu1_star_{tag}.csv", u_star))
 
     cr_path = out / "crossings.csv"
     io.write_csv(cr_path, io.config_echo(config),
@@ -272,23 +239,21 @@ def cmd_gn_limit(config: io.RunConfig, out: Path) -> list[Path]:
 
 
 def cmd_reproduce_figures(config: io.RunConfig, out: Path) -> list[Path]:
-    """Canonical d=5 sweep: theta family at p=2.8 plus the three regimes
-    p in {2.8, 2.78, 2.7} at the critical theta, and the near-critical
-    theta comparison."""
+    """Canonical d=5 sweep: the theta family at p=2.8 (the config's thetas,
+    the critical theta and the near-critical 0.7213 and 0.7283), and
+    p in {2.78, 2.7} at the critical theta."""
     files = []
-    theta_c = theta_critical(2.8, 5)
+    theta_c = round(theta_critical(2.8, 5), 6)
     scenarios = [
-        ("p2.8_theta_family", 2.8, sorted(set([round(theta_c, 6)] + list(config.theta_list)))),
-        ("p2.78_theta_critical", 2.78, [round(theta_c, 6)]),
-        ("p2.7_theta_critical", 2.7, [round(theta_c, 6)]),
-        ("p2.8_theta_near_critical", 2.8, [round(theta_c, 6), 0.7213, 0.7283]),
+        ("p2.8_theta_family", 2.8, [theta_c, 0.7213, 0.7283, *config.theta_list]),
+        ("p2.78_theta_critical", 2.78, [theta_c]),
+        ("p2.7_theta_critical", 2.7, [theta_c]),
     ]
-    base = dataclasses.asdict(config)
     for name, p, thetas in scenarios:
-        sub = dict(base)
-        sub.update({"p": p, "theta_list": thetas, "out": str(out / name),
-                    "run_id": f"{config.run_id}/{name}"})
-        sub_cfg = io.RunConfig(**sub)
+        # one theta per tag: a config theta may share the critical theta's
+        sub_cfg = dataclasses.replace(
+            config, p=p, theta_list=sorted({io.theta_tag(t): t for t in thetas}.values()),
+            out=str(out / name), run_id=f"{config.run_id}/{name}")
         sub_out = out / name
         sub_out.mkdir(parents=True, exist_ok=True)
         files += cmd_symmetric_curve(sub_cfg, sub_out)
@@ -322,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--nphi", dest="n_phi", type=int)
         sp.add_argument("--measure-mode", dest="measure_mode",
                         choices=("probability", "surface"))
-        sp.add_argument("--mu0-factor", dest="mu0_factor", type=float)
         sp.add_argument("--eta", type=float)
         sp.add_argument("--kappa-stop", dest="kappa_stop", type=float)
         sp.add_argument("--out", type=str)

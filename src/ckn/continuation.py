@@ -44,7 +44,7 @@ def asymmetry(u: Field) -> float:
     return float(np.sqrt(num / den))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class BranchPoint:
     """One converged critical point, stored by value plus a checkpoint id.
 
@@ -52,6 +52,7 @@ class BranchPoint:
     mu, and `gap`, the fixed point's final self-consistency gap.  `gap`,
     `iterations`, `eigen_iterations` and `lu_solves` (the fixed point's
     work counters) are nan for a point not computed by the fixed point.
+    The fields, in order, are the non-theta columns of `branch.csv`.
     """
 
     kappa: float
@@ -59,14 +60,14 @@ class BranchPoint:
     X: float
     Y: float
     Z: float
-    t: float
-    asymmetry: float
-    field_ref: str = ""
     residual: float = math.nan
     gap: float = math.nan
     iterations: float = math.nan
     eigen_iterations: float = math.nan
     lu_solves: float = math.nan
+    t: float
+    asymmetry: float
+    checkpoint: str = ""
 
 
 @dataclass
@@ -77,11 +78,12 @@ class Branch:
     points: list
     provenance: dict = field(default_factory=dict)
 
-    def kappas(self) -> np.ndarray:
-        return np.array([pt.kappa for pt in self.points])
+    def column(self, name: str) -> np.ndarray:
+        """One BranchPoint field over the points, as an array."""
+        return np.array([getattr(pt, name) for pt in self.points])
 
     def __post_init__(self):
-        ks = self.kappas()
+        ks = self.column("kappa")
         if len(ks) > 1 and not np.all(np.diff(ks) > 0):
             raise ValueError("branch kappas must be strictly increasing")
 
@@ -91,7 +93,7 @@ def _branch_point(fp: FixedPointResult, store: FieldStore) -> BranchPoint:
     cid = store.save(fp.u_eq)
     return BranchPoint(
         kappa=fp.kappa, mu=fp.mu, X=X, Y=Y, Z=Z, t=X / Y,
-        asymmetry=asymmetry(fp.u_eq), field_ref=cid, residual=fp.residual, gap=fp.gap,
+        asymmetry=asymmetry(fp.u_eq), checkpoint=cid, residual=fp.residual, gap=fp.gap,
         iterations=fp.iterations, eigen_iterations=fp.eigen_iterations,
         lu_solves=fp.lu_solves,
     )
@@ -186,7 +188,7 @@ def _discrete_point(kappa: float, grid: CylinderGrid, params: ProblemParams,
     u = Field(grid, np.repeat(v[:, None], grid.n_phi, axis=1))
     X, Y, Z = evaluate_norms(u)
     return BranchPoint(kappa=kappa, mu=mu, X=X, Y=Y, Z=Z, t=X / Y, asymmetry=asymmetry(u),
-                       field_ref=store.save(u) if store is not None else "",
+                       checkpoint=store.save(u) if store is not None else "",
                        residual=eqmu_residual(u, mu))
 
 
@@ -326,6 +328,19 @@ def symmetric_discrete_branch(kappas, grid: CylinderGrid, params: ProblemParams)
     points = [_discrete_point(kappa, grid, params)
               for kappa in sorted(float(k) for k in kappas)]
     return Branch(params=params, points=points, provenance={"family": "symmetric-sector"})
+
+
+def symmetric_reference(branch: Branch, grid: CylinderGrid, params: ProblemParams) -> Branch:
+    """The symmetric reference `branch` is compared against: the discrete
+    symmetric branch at 60 geometric kappas from 0.3 kappa_FS to the larger
+    of the branch's top and 1.5 kappa_FS, plus 40 on [0.985, 1.02] kappa_FS,
+    which resolve the bifurcation."""
+    kappa_fs = critical_value_sym(mu_FS(params.p, params.d), params)
+    kappas = np.concatenate([
+        np.geomspace(0.3 * kappa_fs, max(branch.points[-1].kappa, 1.5 * kappa_fs), 60),
+        np.linspace(0.985 * kappa_fs, 1.02 * kappa_fs, 40),
+    ])
+    return symmetric_discrete_branch(kappas, grid, params)
 
 
 def merge_branches(down: Branch, up: Branch) -> Branch:

@@ -6,7 +6,7 @@ Checkpoint layout (little endian, no padding):
     version uint32
     d       int32
     p       float64
-    mode    uint8    0 = probability, 1 = surface
+    mode    uint8    0 = probability, 1 = surface (any other is rejected)
     L       float64
     n_s     int32
     n_phi   int32
@@ -72,10 +72,11 @@ def load_field(path, grid: CylinderGrid) -> Field:
     body = raw[len(MAGIC) + _HEADER.size:-4]
     if n_s <= 0 or n_phi <= 0 or len(body) != 8 * n_s * n_phi:
         raise CheckpointError(f"{path}: {len(body)} value bytes do not hold a {n_s}x{n_phi} grid")
+    if mode not in (0, 1):
+        raise CheckpointError(f"{path}: unknown measure mode byte {mode}")
     values = np.frombuffer(body, dtype="<f8").reshape(n_s, n_phi).copy()
-    mode_name = "probability" if mode == 0 else "surface"
     if (grid.d, grid.p, grid.measure_mode, grid.L, grid.n_s, grid.n_phi) != (
-            d, p, mode_name, L, n_s, n_phi):
+            d, p, ("probability", "surface")[mode], L, n_s, n_phi):
         raise CheckpointError(f"{path}: checkpoint does not match the supplied grid")
     return Field(grid, values)
 
@@ -107,6 +108,11 @@ class FieldStore:
         return load_field(path, grid)
 
 
+def theta_tag(theta: float) -> str:
+    """The name of theta in output file and column names."""
+    return f"{theta:.6f}"
+
+
 def _positive(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 < x < math.inf
 
@@ -134,7 +140,6 @@ class RunConfig:
     L: float | None = None
     n_s: int = 400
     n_phi: int = 48
-    mu0_factor: float = 1.2
     eta: float | None = None
     kappa_stop: float | None = None
     tol: float = 1e-10
@@ -153,6 +158,9 @@ class RunConfig:
                 self.params(th)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        tags = [theta_tag(th) for th in self.theta_list]
+        if len(set(tags)) < len(tags):
+            raise ConfigError(f"theta_list names one output tag twice: {tags}")
         if self.n_s < MIN_N_S or self.n_phi < MIN_N_PHI:
             raise ConfigError(f"grid {self.n_s}x{self.n_phi} is below {MIN_N_S}x{MIN_N_PHI}")
 

@@ -1,28 +1,28 @@
 """Shared fixtures: the expensive branch runs are computed once per session."""
 
-import numpy as np
 import pytest
 
+from ckn.cli import MU0_FACTOR, SEED_EPS
 from ckn.continuation import (
     continue_branch,
     initialize,
     merge_branches,
-    symmetric_discrete_branch,
+    symmetric_reference,
 )
 from ckn.eigensolver import SolverCache
 from ckn.gn import radial_ground_state
 from ckn.io import FieldStore
 from ckn.model import ProblemParams, build_grid
-from ckn.symmetric import critical_value_sym, mu_FS
+from ckn.symmetric import mu_FS
 
 
 def _run_branch(p, d, L, n_s, n_phi, tmp, eta_div=200, eta_up_factor=8.0,
-                kappa_stop_factor=2.4, mu0_factor=1.2):
+                kappa_stop_factor=2.4):
     params = ProblemParams(d, p, 1.0, "surface")
     grid = build_grid(L, n_s, n_phi, params)
     store = FieldStore(tmp)
     cache = SolverCache()
-    start, fp = initialize(mu0_factor * mu_FS(p, d), 0.05, grid, params, store, cache)
+    start, fp = initialize(MU0_FACTOR * mu_FS(p, d), SEED_EPS, grid, params, store, cache)
     eta = start.kappa / eta_div
     down = continue_branch(start, eta, "down", 0.0, grid, params, store,
                            start_result=fp, cache=cache)
@@ -37,16 +37,9 @@ def _run_branch(p, d, L, n_s, n_phi, tmp, eta_div=200, eta_up_factor=8.0,
     }
 
 
-def _add_symmetric_reference(run, n_coarse=50, n_fine=40):
-    params, grid = run["params"], run["grid"]
-    kappa_fs = critical_value_sym(mu_FS(run["p"], run["d"]), params)
-    kap_hi = max(pt.kappa for pt in run["branch"].points)
-    kappas = np.concatenate([
-        np.geomspace(0.3 * kappa_fs, max(kap_hi, 1.5 * kappa_fs), n_coarse),
-        np.linspace(0.985 * kappa_fs, 1.02 * kappa_fs, n_fine),
-    ])
-    run["sym_branch"] = symmetric_discrete_branch(kappas, grid, params)
-    run["kappa_fs"] = kappa_fs
+def _add_symmetric_reference(run):
+    """The symmetric reference `ckn analyze` compares the branch against."""
+    run["sym_branch"] = symmetric_reference(run["branch"], run["grid"], run["params"])
     return run
 
 

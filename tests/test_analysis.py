@@ -3,6 +3,7 @@ import pytest
 
 from ckn.analysis import (
     ThetaCurve,
+    compare,
     curve_values,
     detect_crossing,
     lambda_FS,
@@ -231,45 +232,34 @@ def test_lambda_GN_monotone_crossing_exists(j_inf_pair):
     assert j_sym(2.0 * mu_hat, theta) > j_s
 
 
-def _envelope(run, theta):
-    """Envelope of the symmetric reference and the branch's non-symmetric
-    points on the Lambda grid `ckn analyze` uses."""
-    nonsym = map_to_theta(run["branch"], theta)
-    sym = map_to_theta(run["sym_branch"], theta)
-    lo = max(nonsym.Lambda.min(), sym.Lambda.min())
-    hi = min(nonsym.Lambda.max(), sym.Lambda.max())
-    grid_l = np.linspace(lo, hi, 400)
-    rows, jumps = min_envelope([sym, nonsym.nonsymmetric()], grid_l)
-    return sym, nonsym, grid_l, rows, jumps
-
-
 def test_envelope_jump_matches_crossing(run_p278):
-    """The argmin switches once, within one grid cell of the detected
+    """The argmin switches once, within 0.0075 in Lambda of the detected
     crossing."""
-    theta = 5.0 / 7.0
-    sym, nonsym, grid_l, rows, jumps = _envelope(run_p278, theta)
-    crossing = detect_crossing(sym, nonsym)
-    assert crossing is not None
-    cell = grid_l[1] - grid_l[0]
+    sym = map_to_theta(run_p278["sym_branch"], 5.0 / 7.0)
+    nonsym = map_to_theta(run_p278["branch"], 5.0 / 7.0)
+    crossing, ambiguous, rows, jumps = compare(sym, nonsym)
+    assert crossing is not None and not ambiguous
     assert len(jumps) == 1
-    assert abs(jumps[0] - crossing.Lambda1) <= cell
+    assert abs(jumps[0] - crossing.Lambda1) <= 0.0075
     # envelope lies below both curves at their own sample points
     env_l = np.array([r[0] for r in rows])
     env_j = np.array([r[1] for r in rows])
-    lo, hi = grid_l[0], grid_l[-1]
+    cell = env_l[1] - env_l[0]
     for c in (sym, nonsym):
-        inside = (c.Lambda > lo + cell) & (c.Lambda < hi - cell)
+        inside = (c.Lambda > env_l[0] + cell) & (c.Lambda < env_l[-1] - cell)
         ej = np.interp(c.Lambda[inside], env_l, env_j)
-        assert np.all(ej <= c.J[inside] + cell * 10.0)
+        assert np.all(ej <= c.J[inside] + 0.075)
 
 
 def test_envelope_single_jump_at_bifurcation(run_p27):
     """Without a crossing the envelope leaves the symmetric curve once,
     where the branch bifurcates from it."""
     theta = 5.0 / 7.0
-    _, _, grid_l, _, jumps = _envelope(run_p27, theta)
+    crossing, ambiguous, _, jumps = compare(map_to_theta(run_p27["sym_branch"], theta),
+                                            map_to_theta(run_p27["branch"], theta))
+    assert crossing is None and not ambiguous
     assert len(jumps) == 1
-    assert abs(jumps[0] - lambda_FS(2.7, theta, D)) <= 2 * (grid_l[1] - grid_l[0])
+    assert abs(jumps[0] - lambda_FS(2.7, theta, D)) <= 0.042
 
 
 def test_crossing_on_tier1_grid(run_p278):

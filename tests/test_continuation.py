@@ -145,7 +145,7 @@ def test_initialize_start_sits_at_the_ray_minimum(coarse, tmp_path_factory, monk
 def test_branch_kappa_monotone(mini_branch):
     _, _, _, down, up = mini_branch
     for br in (down, up):
-        assert np.all(np.diff(br.kappas()) > 0)
+        assert np.all(np.diff(br.column("kappa")) > 0)
 
 
 def test_branch_point_invariants(mini_branch):
@@ -181,7 +181,7 @@ def test_down_walk_ends_on_discrete_soliton(mini_branch, coarse):
     kfs = critical_value_sym(mu_FS(P, D), params)
     (end,) = [pt for pt in down.points if pt.kappa == kfs - 0.5 * down.provenance["eta"]]
     mu, v = discrete_soliton(end.kappa, params, g)
-    u = store.load(end.field_ref, g)
+    u = store.load(end.checkpoint, g)
     np.testing.assert_array_equal(u.values, np.repeat(v[:, None], g.n_phi, axis=1))
     assert end.mu == mu == down.provenance["terminal_mu"]
     assert end.residual == eqmu_residual(u, mu) <= 1e-10 * np.sqrt(u.norm_sq())
@@ -218,14 +218,14 @@ def test_checkpoints_stored_and_loadable(mini_branch, coarse):
     store, _, _, down, _ = mini_branch
     g, _, _ = coarse
     pt = down.points[-1]
-    u = store.load(pt.field_ref, g)
+    u = store.load(pt.checkpoint, g)
     assert u.values.shape == g.shape
 
 
 def test_merge_branches(mini_branch):
     _, _, _, down, up = mini_branch
     merged = merge_branches(down, up)
-    ks = merged.kappas()
+    ks = merged.column("kappa")
     assert np.all(np.diff(ks) > 0)
     assert len(merged.points) <= len(down.points) + len(up.points)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -12,7 +13,8 @@ import pytest
 
 import ckn
 from ckn import cli, continuation, eigensolver
-from ckn.continuation import asymmetry
+from ckn.analysis import curve_values, map_to_theta
+from ckn.continuation import BranchPoint, asymmetry
 from ckn.eigensolver import SolverCache
 from ckn.errors import CheckpointError, ConfigError, NonConvergenceError
 from ckn.fixedpoint import SELF_CONSISTENCY_TOL, eqmu_residual
@@ -83,6 +85,19 @@ def test_checkpoint_grid_mismatch(tmp_path, small_field):
     np.testing.assert_array_equal(load_field(p, same).values, small_field.values)
 
 
+def test_checkpoint_rejects_unknown_mode_byte(tmp_path):
+    # a mode byte other than 0 (probability) or 1 (surface), under a valid CRC
+    g = build_grid(8.0, 16, 8, ProblemParams(5, 2.8, 1.0, "surface"))
+    path = tmp_path / "f.ckn"
+    save_field(path, Field(g, np.ones(g.shape)))
+    raw = bytearray(path.read_bytes()[:-4])
+    assert raw[24] == 1
+    raw[24] = 7
+    path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF))
+    with pytest.raises(CheckpointError, match="mode byte 7"):
+        load_field(path, g)
+
+
 @pytest.mark.parametrize("n_s, n_phi", [(16, 9), (-16, -8)])
 def test_checkpoint_rejects_wrong_dimensions(tmp_path, n_s, n_phi):
     # a header whose grid does not match the stored values, under a valid CRC
@@ -130,6 +145,10 @@ def test_config_validation():
             RunConfig.from_json(json.dumps({key: value}))
     with pytest.raises(ConfigError):
         RunConfig.from_json("{not json")
+    # each theta names its output files and columns by its tag
+    for thetas in ([0.8, 0.8], [0.7500001, 0.75]):
+        with pytest.raises(ConfigError, match="tag"):
+            RunConfig(theta_list=thetas)
 
 
 def test_config_half_length():
@@ -159,7 +178,7 @@ def test_csv_roundtrip_exact_floats(tmp_path):
 
 def _tiny_config(tmp_path, **over):
     data = dict(d=5, p=2.8, theta_list=[0.714286, 1.0], measure_mode="surface",
-                L=8.0, n_s=48, n_phi=10, mu0_factor=1.2,
+                L=8.0, n_s=48, n_phi=10,
                 eta=0.6, kappa_stop=19.0,
                 out=str(tmp_path / "out"), run_id="cli-test")
     data.update(over)
@@ -203,9 +222,9 @@ def test_cli_config_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize("over", [
     {"theta_list": 0.8}, {"theta_list": [0.8, "0.9"]}, {"L": "8"}, {"n_s": 100.5},
-    {"n_phi": True}, {"d": 5.0}, {"mu0_factor": float("nan")}, None,
+    {"n_phi": True}, {"d": 5.0}, {"tol": float("nan")}, None,
 ], ids=["theta-scalar", "theta-str", "L-str", "ns-float", "nphi-bool", "d-float",
-        "mu0-factor-nan", "top-level-list"])
+        "tol-nan", "top-level-list"])
 def test_cli_mistyped_config_exit_code(tmp_path, capsys, over):
     if over is None:
         cfg = tmp_path / "cfg.json"
@@ -222,6 +241,16 @@ def test_cli_empty_theta_list_exit_code(tmp_path, capsys, command):
     cfg = _tiny_config(tmp_path, theta_list=[])
     assert cli.main([command, "--config", str(cfg)]) == 2
     assert "non-empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["symmetric-curve", "branch", "analyze"])
+def test_cli_coinciding_theta_tags_exit_code(tmp_path, capsys, command):
+    # 0.7500001 and 0.75 would both write envelope_0.750000.csv (and the
+    # same branch.csv columns), so the config is refused before any output
+    cfg = _tiny_config(tmp_path, theta_list=[0.7500001, 0.75, 1.0])
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert "tag" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -301,6 +330,21 @@ def test_cli_branch_outputs(cli_branch_run):
     assert header[:2] == ["kappa", "mu"]
     assert "Lambda_0.714286" in header and "J_1.000000" in header
     assert header[-3:] == ["t", "asymmetry", "checkpoint"]
+    # besides the theta columns, one column per BranchPoint field, in order
+    assert [h for h in header if not h.startswith(("Lambda_", "J_"))] == [
+        f.name for f in dataclasses.fields(BranchPoint)]
+    # each theta's columns hold the values map_to_theta gives the branch read
+    # back, and the scalar formula's for each row within a few ulps
+    branch = cli._read_branch(out / "branch.csv", ProblemParams(5, 2.8, 1.0, "surface"))
+    by_mu = np.argsort(branch.column("mu"))
+    for theta, tag in ((0.714286, "0.714286"), (1.0, "1.000000")):
+        curve = map_to_theta(branch, theta)
+        lam, J = (np.array([r[header.index(f"{c}_{tag}")] for r in rows]) for c in ("Lambda", "J"))
+        np.testing.assert_array_equal(lam[by_mu], curve.Lambda)
+        np.testing.assert_array_equal(J[by_mu], curve.J)
+        for k, pt in enumerate(branch.points):
+            scalar = curve_values(theta, pt.mu, pt.X, pt.Y, pt.Z, 2.8)
+            np.testing.assert_allclose((lam[k], J[k]), scalar, rtol=1e-14)
     kappas = [r[0] for r in rows]
     assert np.all(np.diff(kappas) > 0)
     manifest = json.loads((out / "manifest.json").read_text())
@@ -375,6 +419,64 @@ def test_cli_analyze_outputs(cli_branch_run):
         assert asymmetry(u) == pytest.approx(row[i_asym], rel=1e-12, abs=1e-12)
 
 
+def test_branch_csv_reads_back_bit_for_bit(tmp_path, monkeypatch):
+    # the Branch that `ckn branch` wrote, read back from branch.csv, is the
+    # in-memory one field for field (nan equal to nan)
+    real, written = cli._write_branch, []
+
+    def recording(path, config, branch):
+        written.append(branch)
+        real(path, config, branch)
+
+    monkeypatch.setattr(cli, "_write_branch", recording)
+    cfg = _tiny_config(tmp_path)
+    assert cli.main(["branch", "--config", str(cfg)]) == 0
+    (branch,) = written
+    back = cli._read_branch(tmp_path / "out" / "branch.csv", branch.params)
+    assert back.params == branch.params
+    assert len(back.points) == len(branch.points) > 2
+    for a, b in zip(back.points, branch.points):
+        for f in dataclasses.fields(BranchPoint):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x == y or (np.isnan(x) and np.isnan(y)), (f.name, x, y)
+
+
+def test_cli_analyze_theta_absent_from_branch(tmp_path):
+    # analyze maps the branch's norms to any admissible theta, so a theta
+    # that branch.csv has no columns for gives the crossing and envelope of
+    # a run whose branch had it
+    cfg = _tiny_config(tmp_path, p=2.78, theta_list=[0.714286], eta=0.7, kappa_stop=18.5)
+    outputs = []
+    for name, branch_theta in (("with", "0.714286"), ("without", "1.0")):
+        out = tmp_path / name
+        args = ["--config", str(cfg), "--out", str(out)]
+        assert cli.main(["branch", *args, "--theta", branch_theta]) == 0
+        assert cli.main(["analyze", *args]) == 0
+        outputs.append([read_csv(out / f)[1:] for f in ("crossings.csv",
+                                                        "envelope_0.714286.csv")])
+    (with_crossings, with_envelope), (without_crossings, without_envelope) = outputs
+    assert with_crossings == without_crossings
+    assert with_crossings[1][0][4] == "true"
+    assert with_envelope == without_envelope
+
+
+def test_cli_analyze_rejects_branch_csv_without_norms(tmp_path, capsys):
+    # a branch.csv written before the X, Y and Z columns is an i/o error,
+    # raised before analyze writes anything
+    cfg = _tiny_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    write_csv(out / "branch.csv", ["run_id: old"],
+              ["kappa", "mu", "Lambda_0.714286", "Lambda_1.000000", "J_0.714286",
+               "J_1.000000", "residual", "gap", "iterations", "eigen_iterations",
+               "lu_solves", "t", "asymmetry", "checkpoint"],
+              [(15.0, 5.0, 3.0, 5.0, 8.0, 9.0, 1e-12, 1e-11, 9, 40, 40, 0.8, 0.1, "cp_00000")])
+    before = sorted(out.rglob("*"))
+    assert cli.main(["analyze", "--config", str(cfg)]) == 4
+    assert "no column X" in capsys.readouterr().err
+    assert sorted(out.rglob("*")) == before
+
+
 def test_cli_analyze_rejects_branch_from_other_grid(cli_branch_run):
     # analyze loads the branch's first field onto its own grid before it
     # writes anything, so a branch computed on another grid is an i/o error
@@ -417,11 +519,12 @@ def test_config_echo_in_outputs(tmp_path):
     assert any("d=5 p=2.8" in c for c in comments)
 
 
-def test_cli_solver_error_exit_code(tmp_path):
+def test_cli_solver_error_exit_code(tmp_path, monkeypatch):
     # below the stability threshold the start falls back to the symmetric
     # solution, which the branch command reports as a solver failure
     # and records the reason in the manifest, leaving no checkpoint
-    cfg = _tiny_config(tmp_path, mu0_factor=0.9)
+    monkeypatch.setattr(cli, "MU0_FACTOR", 0.9)
+    cfg = _tiny_config(tmp_path)
     assert cli.main(["branch", "--config", str(cfg)]) == 3
     out = tmp_path / "out"
     manifest = json.loads((out / "manifest.json").read_text())
@@ -523,14 +626,20 @@ def test_cli_import_leaves_out_scipy_optimize_and_sparse():
 
 
 def test_cli_reproduce_figures_smoke(tmp_path):
-    cfg = _tiny_config(tmp_path, theta_list=[0.72, 1.0], n_s=48, n_phi=10,
+    # 0.7142858 shares its tag with the critical theta round(Theta, 6)
+    cfg = _tiny_config(tmp_path, theta_list=[0.7142858, 0.72, 1.0], n_s=48, n_phi=10,
                        eta=0.7, kappa_stop=18.5)
     rc = cli.main(["reproduce-figures", "--config", str(cfg)])
     assert rc == 0
     out = tmp_path / "out"
-    for scenario in ("p2.8_theta_family", "p2.78_theta_critical",
-                     "p2.7_theta_critical", "p2.8_theta_near_critical"):
+    scenarios = ("p2.8_theta_family", "p2.78_theta_critical", "p2.7_theta_critical")
+    assert sorted(d.name for d in out.iterdir()) == sorted(scenarios)
+    for scenario in scenarios:
         assert (out / scenario / "branch.csv").exists()
         assert (out / scenario / "crossings.csv").exists()
         svgs = list((out / scenario).glob("diagram_*.svg"))
         assert svgs
+    # the family holds the near-critical thetas, so p = 2.8 is solved once
+    family = {f.name for f in (out / "p2.8_theta_family").glob("diagram_*.svg")}
+    assert family == {f"diagram_{t}.svg" for t in ("0.714286", "0.720000", "0.721300",
+                                                    "0.728300", "1.000000")}
