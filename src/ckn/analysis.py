@@ -96,79 +96,51 @@ class Crossing:
     mu1: float
 
 
-def _monotone_pieces(Lam: np.ndarray):
-    """Index ranges [i0, i1] on which Lam is strictly monotone."""
-    if len(Lam) < 2:
-        return []
-    d = np.sign(np.diff(Lam))
-    pieces = []
-    start = 0
-    cur = 0.0
-    for i, s in enumerate(d):
-        if s == 0.0:
-            continue
-        if cur == 0.0:
-            cur = s
-        elif s != cur:
-            pieces.append((start, i))
-            start = i
-            cur = s
-    pieces.append((start, len(Lam) - 1))
-    return [(a, b) for a, b in pieces if b > a]
-
-
-def _seg_intersections(L1, J1, L2, J2):
-    """Segment-pair intersections of two polylines given as (Lambda, J) arrays.
-
-    Returns (overlaps, i, j, s, t): the number of collinear segment pairs,
-    and for every other pair that meets, in row-major (i, j) order, the
-    segment indices and the fractions s along segment i of the first
-    polyline and t along segment j of the second.
-    """
-    da = np.stack([np.diff(L1), np.diff(J1)])[:, :, None]
-    db = np.stack([np.diff(L2), np.diff(J2)])[:, None, :]
-    rhs = np.stack([L2[:-1], J2[:-1]])[:, None, :] - np.stack([L1[:-1], J1[:-1]])[:, :, None]
-    den = da[0] * db[1] - da[1] * db[0]
-    scale = np.maximum(np.maximum(np.abs(da[0] * db[1]), np.abs(da[1] * db[0])), 1e-300)
-    parallel = np.abs(den) <= 1e-12 * scale
-    cross = rhs[0] * da[1] - rhs[1] * da[0]
-    size = np.maximum(np.abs(da).max(axis=0), 1.0) * np.maximum(np.abs(rhs).max(axis=0), 1.0)
-    overlaps = int(np.count_nonzero(parallel & (np.abs(cross) <= 1e-10 * size)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (rhs[0] * db[1] - rhs[1] * db[0]) / den
-        t = cross / den
-    hit = ~parallel & (s >= -1e-12) & (s <= 1 + 1e-12) & (t >= -1e-12) & (t <= 1 + 1e-12)
-    i, j = np.nonzero(hit)
-    return overlaps, i, j, s[i, j], t[i, j]
+def _pieces(c: ThetaCurve) -> list[np.ndarray]:
+    """Each strictly monotone run of c's Lambda as a (3, n) array of rows
+    Lambda (ascending), J and mu.  Consecutive runs share the node at the
+    fold between them; a step that leaves Lambda unchanged joins no run."""
+    s = np.sign(np.diff(c.Lambda))
+    ends = np.flatnonzero(np.diff(s)) + 1
+    cols = np.array([c.Lambda, c.J, c.mu])
+    return [cols[:, a:b + 1][:, ::int(s[a])]
+            for a, b in zip(np.r_[0, ends], np.r_[ends, len(s)]) if b > a and s[a]]
 
 
 def detect_crossing(sym: ThetaCurve, nonsym: ThetaCurve) -> Crossing | None:
     """Intersection of the symmetric and non-symmetric (Lambda, J) curves.
 
     Only genuinely non-symmetric points of `nonsym` participate, which
-    drops the shared segment below the bifurcation.  Returns None when the
-    curves do not cross; raises AmbiguousCrossingError when they cross
-    more than once or overlap (all candidates attached).
+    drops the shared segment below the bifurcation.  On each pair of
+    monotone pieces the difference of the two linear interpolants is
+    linear between their merged Lambda nodes, so its zeros are exactly
+    where the polylines meet; a run of zero nodes is an overlap.  Returns
+    None when the curves do not cross; raises AmbiguousCrossingError when
+    they cross more than once or overlap (all candidates attached, ordered
+    by mu1 and then mu1_star).
     """
     if abs(sym.theta - nonsym.theta) > 1e-12:
         raise ValueError("curves belong to different theta values")
-    ns = nonsym.nonsymmetric()
-    if len(ns.mu) < 2:
-        return None
-    overlaps, i, j, s, t = _seg_intersections(ns.Lambda, ns.J, sym.Lambda, sym.J)
-
-    def along(x, k, f):
-        return x[k] + f * (x[k + 1] - x[k])
-
-    candidates = [Crossing(*c) for c in zip(along(ns.Lambda, i, s), along(ns.J, i, s),
-                                            along(sym.mu, j, t), along(ns.mu, i, s))]
+    candidates, overlaps = [], 0
+    for lam_n, j_n, mu_n in _pieces(nonsym.nonsymmetric()):
+        for lam_s, j_s, mu_s in _pieces(sym):
+            x = np.union1d(lam_n, lam_s)
+            x = x[(max(lam_n[0], lam_s[0]) <= x) & (x <= min(lam_n[-1], lam_s[-1]))]
+            d = np.interp(x, lam_n, j_n) - np.interp(x, lam_s, j_s)
+            sign = np.sign(d)
+            overlaps += np.count_nonzero((sign[1:] == 0) & (sign[:-1] == 0))
+            k = np.flatnonzero(sign[1:] * sign[:-1] < 0)
+            roots = np.r_[x[sign == 0], x[k] + d[k] / (d[k] - d[k + 1]) * (x[k + 1] - x[k])]
+            candidates += [Crossing(lam, np.interp(lam, lam_n, j_n), np.interp(lam, lam_s, mu_s),
+                                    np.interp(lam, lam_n, mu_n)) for lam in roots]
+    candidates.sort(key=lambda c: (c.mu1, c.mu1_star))
 
     # contacts at the bifurcation have nearly equal parameter preimages;
     # a genuine coexistence crossing pairs two distinct solutions
     candidates = [c for c in candidates
                   if abs(c.mu1 - c.mu1_star) > 0.05 * max(abs(c.mu1), abs(c.mu1_star))]
 
-    # polylines can duplicate a hit at shared segment endpoints
+    # pieces that meet at a fold both hold a hit on their shared node
     unique: list[Crossing] = []
     for c in candidates:
         if not any(abs(c.Lambda1 - u.Lambda1) <= 1e-8 * (1.0 + abs(u.Lambda1))
@@ -177,7 +149,7 @@ def detect_crossing(sym: ThetaCurve, nonsym: ThetaCurve) -> Crossing | None:
 
     if overlaps:
         raise AmbiguousCrossingError(
-            f"curves overlap on {overlaps} segment pairs", unique)
+            f"curves overlap between {overlaps} pairs of Lambda nodes", unique)
     if len(unique) > 1:
         raise AmbiguousCrossingError(
             f"{len(unique)} distinct crossings found", unique)
@@ -198,10 +170,7 @@ def min_envelope(curves: list[ThetaCurve], Lambda_grid):
     grid = np.asarray(Lambda_grid, dtype=float)
     levels, owners = [np.full(len(grid), np.inf)], [-1]
     for k, c in enumerate(curves):
-        for (a, b) in _monotone_pieces(c.Lambda):
-            xs, ys = c.Lambda[a:b + 1], c.J[a:b + 1]
-            if xs[0] > xs[-1]:
-                xs, ys = xs[::-1], ys[::-1]
+        for xs, ys, _ in _pieces(c):
             inside = (xs[0] - 1e-12 <= grid) & (grid <= xs[-1] + 1e-12)
             levels.append(np.where(inside, np.interp(grid, xs, ys), np.inf))
             owners.append(k)

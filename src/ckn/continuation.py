@@ -147,7 +147,8 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
     alone.  Returns the converged point and the full fixed-point result
     (whose field and potential seed the continuation).  `tol` and
     `eigen_tol` go to that solve, as in `roothan_solve`.  Raises
-    SymmetricFallbackError when the solve returns to the symmetric
+    NonConvergenceError when that solve does not converge or ends at
+    mu <= 0, and SymmetricFallbackError when it returns to the symmetric
     solution, which happens whenever mu0 <= mu_FS.
     """
     if eps <= 0:
@@ -168,9 +169,13 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
     seed = Field(grid, seed.values / math.sqrt(seed.norm_sq()))
     fp = roothan_solve(critical_value_sym(mu0, params), self_potential(seed), grid, params,
                        warm_start=seed, cache=cache, tol=tol, eigen_tol=eigen_tol)
-    # check before saving, so a fallback leaves no checkpoint behind
+    # check before saving, so a failed start leaves no checkpoint behind
+    if not (fp.converged and fp.mu > 0):
+        raise NonConvergenceError(
+            f"start at mu0 = {mu0} gave no usable point (converged {fp.converged}, "
+            f"mu {fp.mu:.6g}, residual {fp.residual:.3g}, gap {fp.gap:.3g})")
     asym = asymmetry(fp.u_eq)
-    j_sym = critical_value_sym(fp.mu, params) if fp.mu > 0 else np.inf
+    j_sym = critical_value_sym(fp.mu, params)
     if asym <= ASYMMETRY_BIFURCATED or fp.kappa >= j_sym:
         raise SymmetricFallbackError(
             f"start at mu0 = {mu0} fell back to the symmetric solution "
@@ -266,7 +271,7 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
                                cache=cache, tol=tol, eigen_tol=eigen_tol)
             if not fp.converged:
                 failure = {"reason": "not converged"}
-            elif not fp.mu_positive:
+            elif fp.mu <= 0:
                 failure = {"reason": "mu <= 0"}
         except CknError as exc:
             failure = {"reason": type(exc).__name__}

@@ -74,7 +74,8 @@ def eqmu_residual(u_eq: Field, mu: float) -> float:
 
 @dataclass
 class FixedPointResult:
-    """One converged critical point of the kappa-normalized problem."""
+    """The last iterate of a kappa-normalized fixed-point solve; `converged`
+    says whether it met the tolerances."""
 
     kappa: float
     mu: float
@@ -83,7 +84,6 @@ class FixedPointResult:
     V: Field
     lambda_history: np.ndarray
     converged: bool
-    mu_positive: bool
     iterations: int
     eigen_iterations: int
     lu_solves: int
@@ -111,8 +111,8 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
     Convergence needs a relative eigenvalue increment below `tol`, a
     self-consistency gap ||self_potential(u) - V||_q below sqrt(tol) and
     SELF_CONSISTENCY_TOL, and an eigensolve at the full `eigen_tol`.  A
-    result with mu = -lambda <= 0 is returned but flagged unusable for
-    branch points (solutions of the mu-equation need mu > 0 to decay).
+    result with mu = -lambda <= 0 is returned too, though it cannot be a
+    branch point (solutions of the mu-equation need mu > 0 to decay).
     """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -178,7 +178,7 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
     u_eq = rescale_to_eqmu(res.u, kappa)
     return FixedPointResult(
         kappa=kappa, mu=mu, u=res.u, u_eq=u_eq, V=V,
-        lambda_history=np.asarray(history), converged=converged, mu_positive=mu > 0,
+        lambda_history=np.asarray(history), converged=converged,
         iterations=len(history), eigen_iterations=eig_total, lu_solves=lu_total,
         residual=eqmu_residual(u_eq, mu), gap=gap,
     )

@@ -7,7 +7,7 @@ are shared between criteria.
 
 import numpy as np
 
-from ckn.analysis import detect_crossing, lambda_GN, map_to_theta
+from ckn.analysis import _pieces, detect_crossing, lambda_GN, map_to_theta
 from ckn.continuation import asymmetry, initialize
 from ckn.eigensolver import SolverCache, lowest_eigenpair, q_norm
 from ckn.errors import SymmetricFallbackError
@@ -230,26 +230,12 @@ def test_coexistence_at_crossing(run_p278):
     crossing = detect_crossing(sym, curve)
     assert crossing is not None
 
-    def interp_on(c, lam, mask=None):
-        m = np.ones(len(c.mu), bool) if mask is None else mask
-        lamv, jv, muv = c.Lambda[m], c.J[m], c.mu[m]
-        best = None
-        from ckn.analysis import _monotone_pieces
+    def j_on(c, lam):
+        """The lowest J over the monotone pieces of c defined at lam."""
+        return min(np.interp(lam, L, J) for L, J, _ in _pieces(c) if L[0] <= lam <= L[-1])
 
-        for a, b in _monotone_pieces(lamv):
-            xs, ys = lamv[a:b + 1], jv[a:b + 1]
-            ms = muv[a:b + 1]
-            if xs[0] > xs[-1]:
-                xs, ys, ms = xs[::-1], ys[::-1], ms[::-1]
-            if xs[0] <= lam <= xs[-1]:
-                j = float(np.interp(lam, xs, ys))
-                mu = float(np.interp(lam, xs, ms))
-                if best is None or j < best[0]:
-                    best = (j, mu)
-        return best
-
-    j_sym, _ = interp_on(sym, crossing.Lambda1)
-    j_ns, mu_ns = interp_on(curve, crossing.Lambda1, mask=~curve.symmetric)
+    j_sym = j_on(sym, crossing.Lambda1)
+    j_ns = j_on(curve.nonsymmetric(), crossing.Lambda1)
     jdiff = abs(j_sym - j_ns) / j_sym
 
     asyms = np.array([pt.asymmetry for pt in run_p278["branch"].points])

@@ -104,6 +104,9 @@ def test_detect_crossing_none():
     sym = _line_curve(0.8, [0.0, 3.0], [1.0, 4.0], symmetric=True)
     non = _line_curve(0.8, [0.0, 3.0], [5.0, 6.0])
     assert detect_crossing(sym, non) is None
+    # on one line but apart in Lambda: no overlap
+    non = _line_curve(0.8, [4.0, 5.0], [5.0, 6.0])
+    assert detect_crossing(sym, non) is None
 
 
 def test_detect_crossing_identical_curves_ambiguous():
@@ -120,6 +123,70 @@ def test_detect_crossing_multiple_ambiguous():
     with pytest.raises(AmbiguousCrossingError) as exc:
         detect_crossing(sym, non)
     assert len(exc.value.crossings) == 4
+    mu1s = [c.mu1 for c in exc.value.crossings]
+    assert mu1s == sorted(mu1s)
+
+
+def _segment_crossings(sym, nonsym):
+    """Reference for detect_crossing: every segment of the non-symmetric
+    polyline against every segment of the symmetric one, each meeting point
+    as (mu1, mu1_star, Lambda1, J1)."""
+    ns = nonsym.nonsymmetric()
+    hits = []
+    for i in range(len(ns.mu) - 1):
+        for j in range(len(sym.mu) - 1):
+            a = (ns.Lambda[i + 1] - ns.Lambda[i], ns.J[i + 1] - ns.J[i])
+            b = (sym.Lambda[j + 1] - sym.Lambda[j], sym.J[j + 1] - sym.J[j])
+            r = (sym.Lambda[j] - ns.Lambda[i], sym.J[j] - ns.J[i])
+            den = a[0] * b[1] - a[1] * b[0]
+            if den == 0:
+                continue
+            s = (r[0] * b[1] - r[1] * b[0]) / den
+            t = (r[0] * a[1] - r[1] * a[0]) / den
+            if 0 <= s <= 1 and 0 <= t <= 1:
+                hits.append((ns.mu[i] + s * (ns.mu[i + 1] - ns.mu[i]),
+                             sym.mu[j] + t * (sym.mu[j + 1] - sym.mu[j]),
+                             ns.Lambda[i] + s * a[0], ns.J[i] + s * a[1]))
+    return sorted(hits)
+
+
+def test_detect_crossing_matches_segment_pairs():
+    # random polylines fold many times in Lambda; their mu ranges are far
+    # apart, so no meeting point is taken for a contact at the bifurcation
+    rng = np.random.RandomState(3)
+    statuses = np.zeros(3, int)  # none, found, ambiguous
+    for _ in range(300):
+        n, m = rng.randint(2, 12, size=2)
+        non = _line_curve(0.8, rng.rand(n) * 4, 1 + rng.rand(n) * 2, mus=np.linspace(10, 20, n))
+        sym = _line_curve(0.8, rng.rand(m) * 4, 1 + rng.rand(m) * 2, mus=np.linspace(1, 2, m),
+                          symmetric=True)
+        expected = _segment_crossings(sym, non)
+        try:
+            c = detect_crossing(sym, non)
+            got = [] if c is None else [c]
+        except AmbiguousCrossingError as exc:
+            got = exc.crossings
+            assert len(got) > 1
+        assert len(got) == len(expected)
+        for c, e in zip(got, expected):
+            for x, y in zip((c.mu1, c.mu1_star, c.Lambda1, c.J1), e):
+                assert abs(x - y) <= 1e-10 * max(abs(y), 1.0)
+        statuses[min(len(got), 2)] += 1
+    assert statuses.min() >= 20
+
+
+def test_detect_crossing_on_a_fold_node():
+    # the reference meets the branch at its Lambda fold, the node the two
+    # monotone pieces share, and runs at nearly the slope of the upper arm;
+    # the crossing is reported once, at the node
+    non = _line_curve(0.8, [2.0, 1.0, 2.0], [1.0, 2.0, 3.0], mus=[10.0, 11.0, 12.0])
+    for e in (0.5, 3e-9):
+        sym = _line_curve(0.8, [0.0, 2.0], [1.0 + e, 3.0 - e], mus=[1.0, 2.0], symmetric=True)
+        c = detect_crossing(sym, non)
+        assert c.Lambda1 == pytest.approx(1.0, rel=1e-12)
+        assert c.J1 == pytest.approx(2.0, rel=1e-12)
+        assert c.mu1 == pytest.approx(11.0, rel=1e-12)
+        assert c.mu1_star == pytest.approx(1.5, rel=1e-12)
 
 
 def test_detect_crossing_theta_mismatch():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -89,6 +91,18 @@ def test_initialize_falls_back_below_threshold(coarse, tmp_path_factory):
     store = FieldStore(tmp_path_factory.mktemp("fallback"))
     with pytest.raises(SymmetricFallbackError):
         initialize(0.9 * mu_FS(P, D), 0.05, g, params, store, cache)
+    assert list(store.dir.iterdir()) == []
+
+
+def test_initialize_rejects_an_unconverged_start(coarse, tmp_path_factory, monkeypatch):
+    # three fixed-point iterations leave the start far from self-consistent;
+    # it must not become the first point of the branch
+    g, params, cache = coarse
+    monkeypatch.setattr(continuation, "roothan_solve",
+                        functools.partial(roothan_solve, max_iter=3))
+    store = FieldStore(tmp_path_factory.mktemp("unconverged"))
+    with pytest.raises(NonConvergenceError, match="converged False"):
+        initialize(1.2 * mu_FS(P, D), 0.05, g, params, store, cache)
     assert list(store.dir.iterdir()) == []
 
 
