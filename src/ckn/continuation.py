@@ -7,10 +7,15 @@ fixed point from there at the soliton's own closed-form level.
 `continue_branch` then steps kappa in either direction, reusing the
 previous potential and eigenfunction, halving the step on failures; the
 down walk ends on the exact discrete symmetric point past the bifurcation.
+
+Every field of the branch is even in s, so both solve on the folded grid
+`grid.even` (half the unknowns, and no odd translation mode), and every
+field they save or return is mirrored back onto the full `grid`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -99,6 +104,14 @@ def _branch_point(fp: FixedPointResult, store: FieldStore) -> BranchPoint:
     )
 
 
+def _unfolded(fp: FixedPointResult, grid: CylinderGrid) -> FixedPointResult:
+    """fp, solved on grid.even, with its fields mirrored onto grid and the
+    residual of the mirrored field."""
+    u_eq = grid.unfold(fp.u_eq)
+    return dataclasses.replace(fp, u=grid.unfold(fp.u), u_eq=u_eq, V=grid.unfold(fp.V),
+                               residual=eqmu_residual(u_eq, fp.mu))
+
+
 def _ray_minimum(f, eps: float) -> float:
     """A local minimizer of f on a > 0, to within RAY_WIDTH / 2.
 
@@ -145,7 +158,8 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
     at the closed-form level kappa0 = critical_value_sym(mu0) turns the
     seed into the start point, so the start depends on mu0 and the grid
     alone.  Returns the converged point and the full fixed-point result
-    (whose field and potential seed the continuation).  `tol` and
+    (whose field and potential seed the continuation), both on `grid`
+    though solved on `grid.even`.  `tol` and
     `eigen_tol` go to that solve, as in `roothan_solve`.  Raises
     NonConvergenceError when that solve does not converge or ends at
     mu <= 0, and SymmetricFallbackError when it returns to the symmetric
@@ -154,26 +168,28 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     p = params.p
-    u_sym = soliton(mu0, p).sample(grid)
-    _, w = transverse_mode(mu0, params, grid)
-    w = Field(grid, math.sqrt(u_sym.norm_sq()) * w.values)
+    half = grid.even
+    u_sym = soliton(mu0, p).sample(half)
+    _, w = transverse_mode(mu0, params, half)
+    w = Field(half, math.sqrt(u_sym.norm_sq()) * w.values)
 
     def ray(a: float) -> Field:
-        return Field(grid, np.abs(u_sym.values + a * w.values))
+        return Field(half, np.abs(u_sym.values + a * w.values))
 
     def quotient(a: float) -> float:
         X, Y, Z = evaluate_norms(ray(a))
         return (X + mu0 * Y) / Z ** (2.0 / p)
 
     seed = ray(_ray_minimum(quotient, eps))
-    seed = Field(grid, seed.values / math.sqrt(seed.norm_sq()))
-    fp = roothan_solve(critical_value_sym(mu0, params), self_potential(seed), grid, params,
+    seed = Field(half, seed.values / math.sqrt(seed.norm_sq()))
+    fp = roothan_solve(critical_value_sym(mu0, params), self_potential(seed), half, params,
                        warm_start=seed, cache=cache, tol=tol, eigen_tol=eigen_tol)
     # check before saving, so a failed start leaves no checkpoint behind
     if not (fp.converged and fp.mu > 0):
         raise NonConvergenceError(
             f"start at mu0 = {mu0} gave no usable point (converged {fp.converged}, "
             f"mu {fp.mu:.6g}, residual {fp.residual:.3g}, gap {fp.gap:.3g})")
+    fp = _unfolded(fp, grid)
     asym = asymmetry(fp.u_eq)
     j_sym = critical_value_sym(fp.mu, params)
     if asym <= ASYMMETRY_BIFURCATED or fp.kappa >= j_sym:
@@ -209,8 +225,10 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
                     tol: float = 1e-10, eigen_tol: float = 1e-9) -> Branch:
     """Step kappa from `start` and collect converged points into a Branch.
 
-    `start_result` is the fixed-point result behind `start`; its potential
-    and eigenfunction seed the first step.
+    `start_result` is the fixed-point result behind `start`, on `grid`;
+    its potential and eigenfunction, folded onto `grid.even`, seed the
+    first step (ValueError if they are not even in s).  The walk solves on
+    `grid.even` and checkpoints each point mirrored onto `grid`.
 
     direction "down" walks toward the bifurcation and stops once the point
     is symmetric (asymmetry < 1e-4) or mu <= mu_FS.  Within 1.5 eta of
@@ -239,8 +257,9 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     kappa_fs = critical_value_sym(mu_fs, params)
     eta_min = eta / 64.0
 
-    V = start_result.V
-    u_warm = start_result.u
+    half = grid.even
+    V = grid.fold(start_result.V)
+    u_warm = grid.fold(start_result.u)
     points = [start]
     reasons: list[dict] = []
     kappa = start.kappa
@@ -262,12 +281,12 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
 
         ratio = 0.0 if kappa_prev is None else (kappa_next - kappa) / (kappa - kappa_prev)
         V0 = _predict(V, V_prev, ratio)
-        V0 = Field(grid, np.maximum(V0.values, 0.0))
-        V0 = Field(grid, V0.values / q_norm(V0))
+        V0 = Field(half, np.maximum(V0.values, 0.0))
+        V0 = Field(half, V0.values / q_norm(V0))
         u0 = _predict(u_warm, u_prev, ratio)
         failure = None
         try:
-            fp = roothan_solve(kappa_next, V0, grid, params, warm_start=u0,
+            fp = roothan_solve(kappa_next, V0, half, params, warm_start=u0,
                                cache=cache, tol=tol, eigen_tol=eigen_tol)
             if not fp.converged:
                 failure = {"reason": "not converged"}
@@ -278,7 +297,7 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
         if failure is None:
             # continuity guard against the nominal step: halving the actual
             # step shrinks du until the bound is met
-            du = math.sqrt(Field(grid, fp.u.values - u_warm.values).norm_sq())
+            du = math.sqrt(Field(half, fp.u.values - u_warm.values).norm_sq())
             bound = 5.0 * eta / max(kappa_next, 1e-12) + 1e-8
             if du > bound:
                 failure = {"reason": "continuity guard", "du": du, "bound": bound}
@@ -290,7 +309,7 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
                            f"(step fell below {eta_min:.3g})")
                 break
             continue
-        points.append(_branch_point(fp, store))
+        points.append(_branch_point(_unfolded(fp, grid), store))
         kappa_prev, kappa = kappa, kappa_next
         V_prev, V = V, self_potential(fp.u)
         u_prev, u_warm = u_warm, fp.u

@@ -1,9 +1,10 @@
 """Lowest eigenpair of the weighted operator -Laplace - kappa V on the cylinder.
 
 The discrete operator is the grid's: on the interior dofs (Dirichlet rows
-at s = +-L and the zero-weight pole nodes eliminated), the generalized
-problem K u = lambda M u is scaled by M^(-1/2) into the standard symmetric
-one with matrix A = B - kappa V, B held by the grid as three diagonals.
+at s = +-L, or at s = L alone on a folded grid, and the zero-weight pole
+nodes eliminated), the generalized problem K u = lambda M u is scaled by
+M^(-1/2) into the standard symmetric one with matrix A = B - kappa V, B
+held by the grid as three diagonals.
 It is solved by block-size-1 LOPCG, Knyazev's locally optimal
 preconditioned conjugate gradient (SIAM J. Sci. Comput. 23 (2001)
 517-541): each step applies the preconditioner T once to the
@@ -210,6 +211,9 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
     resid = float(np.linalg.norm(r))
     solve = p = None
     solves = it = 0
+    # the basis of span{y, T r, p} and its image under A, one column each
+    Q = np.empty((op.n, 3), order="F")
+    AQ = np.empty((op.n, 3), order="F")
     for it in range(1, max_iter + 1):
         if resid <= tol:
             break
@@ -219,22 +223,24 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
         solves += 1
         # orthonormal basis of span{y, T r, p}: a direction that is (numerically)
         # in the span of the others is dropped, judged relative to its own norm
-        Q = y[:, None]
+        Q[:, 0], AQ[:, 0] = y, Ay
+        k = 1
         for v in (w, p):
             if v is None:
                 continue
             nv0 = np.linalg.norm(v)
             for _ in range(2):
-                v = v - Q @ (Q.T @ v)
+                v = v - Q[:, :k] @ (Q[:, :k].T @ v)
             nv = np.linalg.norm(v)
             if nv > DROP_RTOL * nv0:
-                Q = np.column_stack([Q, v / nv])
-        AQ = np.column_stack([Ay] + [op.matvec(q) for q in Q.T[1:]])
-        H = Q.T @ AQ
+                Q[:, k] = v / nv
+                AQ[:, k] = op.matvec(Q[:, k])
+                k += 1
+        H = Q[:, :k].T @ AQ[:, :k]
         _, C = np.linalg.eigh(0.5 * (H + H.T))
         c = C[:, 0]
-        p = Q[:, 1:] @ c[1:]
-        y = Q @ c
+        p = Q[:, 1:k] @ c[1:]
+        y = Q[:, :k] @ c
         ny = np.linalg.norm(y)
         y, p = y / ny, p / ny
         Ay = op.matvec(y)

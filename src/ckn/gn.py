@@ -65,16 +65,15 @@ class RadialProfile:
         )
 
 
-def _solve(u: np.ndarray, p: float, d: float, r_max: float):
-    """Petviashvili, then Newton, on the mesh of len(u) cells in dimension d.
+def _mesh(n: int, d: float, r_max: float):
+    """The finite-volume band of -Lap_r + 1 on n cells of [0, r_max] in
+    dimension d: (ab, vol, w) with ab in solve_banded's (1, 1) layout, vol
+    the cell volumes and w the face flux weights.
 
     Node i sits at r_i = i h, h = r_max / n, with the cell [r_i - h/2, r_i + h/2]
     cut at 0; u_n = 0.  Face i + 1/2 carries the flux weight r^(d-1)/h, the
-    origin none (u'(0) = 0).  With L = -Lap_r + 1 and N(u) = vol u^(p-1) on this
-    band, u <- M^((p-1)/(p-2)) L^-1 N(u), M = <u, Lu> / <u, N(u)>, runs from the
-    positive start u.  Returns (u, [X, Y, Z] per unit sphere area).
+    origin none (u'(0) = 0).
     """
-    n = len(u)
     h = r_max / n
     faces = (np.arange(n) + 0.5) * h
     w = faces ** (d - 1.0) / h
@@ -83,15 +82,29 @@ def _solve(u: np.ndarray, p: float, d: float, r_max: float):
     ab[0, 1:] = ab[2, :-1] = -w[:-1]
     ab[1] = w + vol
     ab[1, 1:] += w[:-1]
+    return ab, vol, w
+
+
+def _petviashvili(u: np.ndarray, p: float, d: float, r_max: float) -> np.ndarray:
+    """Petviashvili's iteration on the mesh of len(u) cells from the positive
+    start u, until its update is below PETVIASHVILI_TOL of the peak.  With
+    L = -Lap_r + 1 and N(u) = vol u^(p-1) on the band of `_mesh`,
+    u <- M^((p-1)/(p-2)) L^-1 N(u), M = <u, Lu> / <u, N(u)>."""
+    ab, vol, _ = _mesh(len(u), d, r_max)
     for _ in range(PETVIASHVILI_MAX_STEPS):
         nonlin = vol * np.abs(u) ** (p - 2.0) * u
         m = (u @ _banded_matvec(ab, u)) / (u @ nonlin)
         du = m ** ((p - 1.0) / (p - 2.0)) * solve_banded((1, 1), ab, nonlin) - u
         u = u + du
         if np.max(np.abs(du)) <= PETVIASHVILI_TOL * np.max(np.abs(u)):
-            break
-    else:
-        raise NonConvergenceError(f"Petviashvili's iteration stalled on the {n}-cell radial mesh")
+            return u
+    raise NonConvergenceError(f"Petviashvili's iteration stalled on the {len(u)}-cell radial mesh")
+
+
+def _newton(u: np.ndarray, p: float, d: float, r_max: float):
+    """Newton's method on the mesh of len(u) cells from u, which must be
+    close to the solution.  Returns (u, [X, Y, Z] per unit sphere area)."""
+    ab, vol, w = _mesh(len(u), d, r_max)
     for _ in range(30):
         a = np.abs(u) ** (p - 2.0)
         F = _banded_matvec(ab, u) - vol * a * u
@@ -104,7 +117,7 @@ def _solve(u: np.ndarray, p: float, d: float, r_max: float):
         if np.max(np.abs(du)) <= 1e-10 * np.max(np.abs(u)):
             grad = np.diff(np.append(u, 0.0))
             return u, np.array([w @ grad**2, vol @ u**2, vol @ np.abs(u) ** p])
-    raise NonConvergenceError(f"Newton failed on the {n}-cell radial mesh at d = {d:.6g}")
+    raise NonConvergenceError(f"Newton failed on the {len(u)}-cell radial mesh at d = {d:.6g}")
 
 
 def radial_ground_state(p: float, d: int, r_max: float = R_MAX) -> RadialProfile:
@@ -120,13 +133,15 @@ def radial_ground_state(p: float, d: int, r_max: float = R_MAX) -> RadialProfile
     if d >= 3 and p >= 2.0 * d / (d - 2.0):
         raise ValueError(f"p={p} is supercritical for d={d}")
 
+    # Petviashvili on the coarse mesh only: each refined mesh starts Newton
+    # from the interpolated solution of the mesh before
     r = np.linspace(0.0, r_max, N_CELLS + 1)[:-1]
-    coarse = _solve(soliton(1.0, p).u(r), p, d, r_max)
+    coarse = _newton(_petviashvili(soliton(1.0, p).u(r), p, d, r_max), p, d, r_max)
     while True:
         n = len(coarse[0])
         r = np.linspace(0.0, r_max, 2 * n + 1)
         guess = np.interp(r[:-1], r[::2], np.append(coarse[0], 0.0))
-        fine = _solve(guess, p, d, r_max)
+        fine = _newton(guess, p, d, r_max)
         u_e = np.append((4.0 * fine[0][::2] - coarse[0]) / 3.0, 0.0)
         X_e, Y_e, Z_e = sphere_area(d) * (4.0 * fine[1] - coarse[1]) / 3.0
         profile = RadialProfile(p=p, d=d, r=r[::2], u=u_e, u0=u_e[0], X_e=X_e, Y_e=Y_e, Z_e=Z_e)

@@ -8,6 +8,8 @@ either to total mass 1 ("probability" mode) or to |S^{d-1}| ("surface" mode).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +18,9 @@ import numpy as np
 MEASURE_MODES = ("probability", "surface")
 MIN_N_S = 16
 MIN_N_PHI = 8
+# a field folds onto the even sector only when its odd part in s is below
+# this share of its norm
+EVEN_RTOL = 1e-10
 
 
 def sphere_area(d: int) -> float:
@@ -79,6 +84,15 @@ class CylinderGrid:
     Dirichlet ends s = +-L and the poles): `m` is their quadrature mass and
     `B` the three nonzero diagonals (offsets 0, 1, n_phi - 2 in s-major
     order) of the mass-scaled interior stiffness M^-1/2 K_int M^-1/2.
+
+    `even` is the folded grid: the sector of fields even in s, on the
+    nodes with s >= 0.  Each node's weight and each s-edge's weight is
+    summed with its mirror image's (a node on s = 0 is its own mirror);
+    an s-edge joining a node to its own mirror carries no flux on even
+    fields and is dropped.  So its first row is a reflecting dof and its
+    last row stays Dirichlet, and every integral, energy and operator
+    entry of an even field is the full grid's.  `fold` and `unfold` map
+    fields between the two.
     """
 
     d: int
@@ -97,10 +111,44 @@ class CylinderGrid:
     ep: np.ndarray
     m: np.ndarray
     B: tuple[np.ndarray, np.ndarray, np.ndarray]
+    folded: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_s, self.n_phi)
+
+    @property
+    def rows(self) -> slice:
+        """The s rows that carry dofs: all but the Dirichlet ends (only
+        s = L on a folded grid)."""
+        return slice(0 if self.folded else 1, -1)
+
+    @functools.cached_property
+    def even(self) -> CylinderGrid:
+        if self.folded:
+            raise ValueError("a folded grid has no even sector of its own")
+        k = self.n_s // 2
+        twice = np.full(self.n_s - k, 2.0)
+        if self.n_s % 2:
+            twice[0] = 1.0  # the node on s = 0 is its own mirror
+        return _with_operator(dataclasses.replace(
+            self, n_s=self.n_s - k, s=self.s[k:], ws=twice * self.ws[k:], es=2.0 * self.es,
+            ep=twice[:, None] * self.ep[k:], folded=True))
+
+    def fold(self, u: Field) -> Field:
+        """u on the folded grid `even`; raises ValueError when the odd part
+        of u exceeds EVEN_RTOL of its norm, so it is never misread."""
+        v = u.values
+        odd = 0.5 * (v - v[::-1])
+        if self.integrate(odd**2) > EVEN_RTOL**2 * self.integrate(v**2):
+            raise ValueError("field is not even in s: its odd part exceeds "
+                             f"{EVEN_RTOL:g} of its norm")
+        return Field(self.even, v[self.n_s // 2:])
+
+    def unfold(self, u: Field) -> Field:
+        """The field on this grid whose fold is u (a field on `even`)."""
+        v = u.values
+        return Field(self, np.concatenate([v[::-1][:self.n_s // 2], v]))
 
     @property
     def weights(self) -> np.ndarray:
@@ -112,12 +160,12 @@ class CylinderGrid:
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
         """Interior dofs of a nodal table, flattened in s-major order."""
-        return values[1:-1, 1:-1].ravel()
+        return values[self.rows, 1:-1].ravel()
 
     def embed(self, vec: np.ndarray) -> np.ndarray:
         """Inverse of restrict: zero Dirichlet rows, pole rows copy neighbors."""
         full = np.zeros(self.shape)
-        full[1:-1, 1:-1] = vec.reshape(self.n_s - 2, self.n_phi - 2)
+        full[self.rows, 1:-1] = vec.reshape(-1, self.n_phi - 2)
         full[:, 0] = full[:, 1]
         full[:, -1] = full[:, -2]
         return full
@@ -125,11 +173,27 @@ class CylinderGrid:
     def action(self, values: np.ndarray) -> np.ndarray:
         """Pointwise -Laplace u = M^-1 (K u) on the interior dofs: the net
         edge flux out of each node over its mass.  Edges to s = +-L count,
-        so on an embedded interior vector x, K u is exactly K_int x."""
-        fs = self.es * np.diff(values, axis=0)
+        so on an embedded interior vector x, K u is exactly K_int x; the
+        zero rows on either end of fs are the no-flux ends."""
+        fs = np.zeros((self.n_s + 1, self.n_phi))
+        fs[1:-1] = self.es * np.diff(values, axis=0)
         fp = self.ep * np.diff(values, axis=1)
-        net = fs[:-1, 1:-1] - fs[1:, 1:-1] + fp[1:-1, :-1] - fp[1:-1, 1:]
+        r = self.rows
+        net = fs[:-1][r, 1:-1] - fs[1:][r, 1:-1] + fp[r, :-1] - fp[r, 1:]
         return net.ravel() / self.m
+
+    def s_operator(self) -> np.ndarray:
+        """-d2/ds2 on the dof rows, as the grid acts on fields constant in
+        phi: no phi-edge carries a difference, so each s-edge's weight over
+        its node's mass couples the rows.  Returned in the (1, 1) banded
+        layout of scipy.linalg.solve_banded."""
+        ws = self.ws[self.rows]
+        edge = self.es[1] / self.wphi[1]  # an s-edge's weight per unit angular mass
+        ab = np.zeros((3, len(ws)))  # solve_banded checks the unused corners too
+        ab[0, 1:] = -edge / ws[:-1]
+        ab[2, :-1] = -edge / ws[1:]
+        ab[1] = _edges_per_row(len(ws), self.folded) * edge / ws
+        return ab
 
 
 def build_grid(L: float, n_s: int, n_phi: int, params: ProblemParams) -> CylinderGrid:
@@ -165,24 +229,35 @@ def build_grid(L: float, n_s: int, n_phi: int, params: ProblemParams) -> Cylinde
     mid = 0.5 * (phi[:-1] + phi[1:])
     mphi = scale * dphi * np.sin(mid) ** (d - 2)
     mphi[0] = mphi[-1] = 0.0  # pole cells carry no angular-gradient weight
-    es = wphi / h_s
-    ep = np.outer(ws, mphi / dphi**2)
+    return _with_operator(CylinderGrid(
+        d=d, p=params.p, measure_mode=params.measure_mode, L=L, n_s=n_s, n_phi=n_phi,
+        s=s, phi=phi, ws=ws, wphi=wphi, h_s=h_s, angular_total=total,
+        es=wphi / h_s, ep=np.outer(ws, mphi / dphi**2), m=None, B=None,
+    ))
 
+
+def _edges_per_row(n_rows: int, folded: bool) -> np.ndarray:
+    """s-edges at each dof row: two, but one at a folded grid's reflecting end."""
+    edges = np.full(n_rows, 2.0)
+    if folded:
+        edges[0] = 1.0
+    return edges
+
+
+def _with_operator(g: CylinderGrid) -> CylinderGrid:
+    """g with the mass m of its interior dofs and its operator B."""
     # M^-1/2 K_int M^-1/2: a node's diagonal entry sums its edge weights, an
     # edge contributes minus its weight; the zero pole-cell weight ends each
     # phi row, so the offset-1 diagonal needs no gaps
-    m = np.outer(ws, wphi)[1:-1, 1:-1].ravel()
+    r, w = g.rows, g.n_phi - 2
+    m = np.outer(g.ws, g.wphi)[r, 1:-1].ravel()
     isq = 1.0 / np.sqrt(m)
-    w = n_phi - 2
-    diag = (2.0 * es[1:-1] + ep[1:-1, :-1] + ep[1:-1, 1:]).ravel() / m
-    off_phi = -ep[1:-1, 1:].ravel()[:-1] * isq[:-1] * isq[1:]
-    off_s = -np.tile(es[1:-1], n_s - 3) * isq[:-w] * isq[w:]
-
-    return CylinderGrid(
-        d=d, p=params.p, measure_mode=params.measure_mode, L=L, n_s=n_s, n_phi=n_phi,
-        s=s, phi=phi, ws=ws, wphi=wphi, h_s=h_s, angular_total=total,
-        es=es, ep=ep, m=m, B=(diag, off_phi, off_s),
-    )
+    n_rows = len(g.ws[r])
+    diag = (_edges_per_row(n_rows, g.folded)[:, None] * g.es[1:-1]
+            + g.ep[r, :-1] + g.ep[r, 1:]).ravel() / m
+    off_phi = -g.ep[r, 1:].ravel()[:-1] * isq[:-1] * isq[1:]
+    off_s = -np.tile(g.es[1:-1], n_rows - 1) * isq[:-w] * isq[w:]
+    return dataclasses.replace(g, m=m, B=(diag, off_phi, off_s))
 
 
 @dataclass

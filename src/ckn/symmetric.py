@@ -112,17 +112,6 @@ def mu_from_kappa_sym(kappa: float, params: ProblemParams) -> float:
     return (kappa ** (p / (p - 2.0)) / Z1) ** (2.0 * (p - 2.0) / (p + 2.0))
 
 
-def _schrodinger_1d(pot: np.ndarray, h: float) -> np.ndarray:
-    """Three-point -d2/ds2 + pot on the interior s nodes, Dirichlet at s = +-L.
-
-    Returned in the (1, 1) banded layout of scipy.linalg.solve_banded.
-    """
-    ab = np.empty((3, len(pot)))
-    ab[0] = ab[2] = -1.0 / h**2
-    ab[1] = 2.0 / h**2 + pot
-    return ab
-
-
 def _banded_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = ab[1] * v
     out[:-1] += ab[0, 1:] * v[1:]
@@ -148,32 +137,34 @@ def discrete_soliton(kappa: float, params: ProblemParams, grid: CylinderGrid):
     """Angular-constant critical point of the grid functional at level kappa.
 
     On fields constant in phi the grid operator reduces exactly to one
-    dimension: no phi-edge carries a difference and the interior mass is
-    ws_i wphi_j, so M^-1 K u is the three-point -d2/ds2 on the interior s
-    nodes, and Z = W h sum |v|^p with W the angular total.  A bordered
-    Newton iteration in (v, mu) solves -v'' + mu v = |v|^(p-2) v together
-    with ((p-2)/p) log Z = log kappa, starting from the closed-form
-    soliton.  Both solves of a step are symmetrized under s -> -s, which
-    removes the nearly singular odd (translation) mode.
+    dimension: no phi-edge carries a difference, so M^-1 K u is the folded
+    grid's s-operator (`CylinderGrid.s_operator` of `grid.even`) on its dof
+    rows, and Z = W sum ws |v|^p with W the angular total.  The folded
+    grid holds the even profiles only, so the nearly singular odd
+    (translation) mode never enters.  A bordered Newton iteration in
+    (v, mu) solves -v'' + mu v = |v|^(p-2) v together with
+    ((p-2)/p) log Z = log kappa, starting from the closed-form soliton.
 
-    Returns (mu, v) with v the nodal s-profile, zero at s = +-L.  Raises
-    NonConvergenceError when the relative update does not fall below 1e-10
-    within 50 steps (3 to 5 suffice on the grids in use).
+    Returns (mu, v) with v the nodal s-profile on `grid`, zero at s = +-L.
+    Raises NonConvergenceError when the relative update does not fall
+    below 1e-10 within 50 steps (3 to 5 suffice on the grids in use).
     """
     p = params.p
-    h = grid.h_s
-    wh = grid.angular_total * h
+    half = grid.even
+    rows = half.rows
+    wm = half.angular_total * half.ws[rows]
     mu = mu_from_kappa_sym(kappa, params)
-    v = soliton(mu, p).u(grid.s[1:-1])
-    v = 0.5 * (v + v[::-1])
+    v = soliton(mu, p).u(half.s[rows])
+    lap = half.s_operator()
     for _ in range(50):
         a = np.abs(v) ** (p - 2.0)
-        F = _banded_matvec(_schrodinger_1d(mu - a, h), v)
-        Z = wh * np.sum(np.abs(v) ** p)
+        F = _banded_matvec(lap, v) + (mu - a) * v
+        Z = wm @ np.abs(v) ** p
         g = (p - 2.0) / p * math.log(Z) - math.log(kappa)
-        grad = (p - 2.0) * wh * a * v / Z
-        x = solve_banded((1, 1), _schrodinger_1d(mu - (p - 1.0) * a, h), np.column_stack([F, v]))
-        x = 0.5 * (x + x[::-1])
+        grad = (p - 2.0) * wm * a * v / Z
+        jac = lap.copy()
+        jac[1] += mu - (p - 1.0) * a
+        x = solve_banded((1, 1), jac, np.column_stack([F, v]))
         dmu = (g - grad @ x[:, 0]) / (grad @ x[:, 1])
         dv = -x[:, 0] - dmu * x[:, 1]
         v = v + dv
@@ -181,8 +172,9 @@ def discrete_soliton(kappa: float, params: ProblemParams, grid: CylinderGrid):
         if not (np.all(np.isfinite(v)) and math.isfinite(mu) and mu > 0):
             break
         if np.max(np.abs(dv)) <= 1e-10 * np.max(np.abs(v)) and abs(dmu) <= 1e-10 * mu:
-            out = np.zeros(grid.n_s)
-            out[1:-1] = v
-            return mu, out
+            prof = np.zeros(half.n_s)
+            prof[rows] = v
+            u = grid.unfold(Field(half, np.repeat(prof[:, None], grid.n_phi, axis=1)))
+            return mu, u.values[:, 0]
     raise NonConvergenceError(
         f"symmetric reference Newton did not converge at kappa = {kappa:.10g}")

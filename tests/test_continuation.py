@@ -316,3 +316,28 @@ def test_continue_branch_rejects_bad_args(mini_branch, coarse):
         continue_branch(start, -0.1, "down", 0.0, g, params, store, fp)
     with pytest.raises(ValueError):
         continue_branch(start, 0.1, "sideways", 0.0, g, params, store, fp)
+
+
+def test_walk_at_p3_keeps_to_the_centred_branch(tmp_path):
+    # at high mu the centred solution is a saddle under shifts in s; on the
+    # full cylinder its roundoff odd part grew until the fixed point landed
+    # off centre (mu 100 -> 175), the continuity guard rejected every step
+    # and the up walk stalled at kappa 36.0.  The folded grid carries no odd
+    # mode, so the walk ends at its stop.  The top of this walk is badly
+    # under-resolved (the soliton spans about two cells of h_s): only its
+    # continuity is checked, not its accuracy
+    p = 3.0
+    params = ProblemParams(D, p, 1.0, "surface")
+    g = build_grid(8.0, 240, 28, params)
+    store, cache = FieldStore(tmp_path), SolverCache()
+    start, fp = initialize(1.2 * mu_FS(p, D), 0.05, g, params, store, cache)
+    eta = start.kappa / 200.0
+    down = continue_branch(start, eta, "down", 0.0, g, params, store,
+                           start_result=fp, cache=cache)
+    up = continue_branch(start, 8.0 * eta, "up", 2.6 * start.kappa, g, params, store,
+                         start_result=fp, cache=cache)
+    assert up.points[-1].kappa > 2.6 * start.kappa - 8.0 * eta
+    branch = merge_branches(down, up)
+    mu = branch.column("mu")
+    assert np.all(np.diff(mu) > 0)
+    assert np.max(mu[1:] / mu[:-1]) <= 1.25

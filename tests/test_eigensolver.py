@@ -180,7 +180,7 @@ def dense_B(g):
 def polarized_B(g):
     """B from the energy alone: K_ij = (E(e_i + e_j) - E(e_i) - E(e_j)) / 2 on
     the interior nodes, scaled by m^-1/2 on both sides."""
-    nodes = [(i, j) for i in range(1, g.n_s - 1) for j in range(1, g.n_phi - 1)]
+    nodes = [(i, j) for i in range(g.n_s)[g.rows] for j in range(1, g.n_phi - 1)]
 
     def energy(*idx):
         v = np.zeros(g.shape)
@@ -197,14 +197,19 @@ def polarized_B(g):
     return isq[:, None] * K * isq[None, :]
 
 
-@pytest.mark.parametrize("n_s, n_phi", [(48, 10), (16, 8)])
-def test_band_storage_is_exact(n_s, n_phi):
+@pytest.mark.parametrize("n_s, n_phi, folded", [
+    pytest.param(48, 10, False, id="48-10"), pytest.param(16, 8, False, id="16-8"),
+    pytest.param(48, 10, True, id="48-10-even"), pytest.param(33, 8, True, id="33-8-even")])
+def test_band_storage_is_exact(n_s, n_phi, folded):
     # in s-major order the energy couples phi neighbours (offset 1) and s
     # neighbours (offset n_phi - 2) only, so the grid's three diagonals are
     # the whole operator, the band holds the shifted operator entry for
-    # entry and its Cholesky factor reproduces it
+    # entry and its Cholesky factor reproduces it; on the folded grid too,
+    # whose first row is a reflecting dof
     params = ProblemParams(D, P, 1.0, "surface")
     g = build_grid(8.0, n_s, n_phi, params)
+    if folded:
+        g = g.even
     w = n_phi - 2
     B = dense_B(g)
     ref = polarized_B(g)
@@ -221,6 +226,28 @@ def test_band_storage_is_exact(n_s, n_phi):
     factor = SolverCache().preconditioner(op, shift).__self__
     UtU = (factor.L @ factor.U).toarray()
     assert np.abs(UtU - A).max() <= 1e-12 * np.abs(A).max()
+
+
+@pytest.mark.parametrize("n_s", [48, 49])
+def test_band_rayleigh_quotients_are_the_full_grid_s_on_even_fields(n_s):
+    # on fields even in s the folded grid's operator is the full grid's, so
+    # every Rayleigh quotient of the band agrees, and so does the ground state
+    params = ProblemParams(D, P, 1.0, "surface")
+    g = build_grid(8.0, n_s, 10, params)
+    kappa, V, _ = soliton_problem(g, 2.0)
+    full, half = CylinderOperator(kappa, V, g), CylinderOperator(kappa, g.fold(V), g.even)
+    rng = np.random.default_rng(n_s)
+    for _ in range(3):
+        v = rng.random(g.shape)
+        u = Field(g, g.embed(g.restrict(v + v[::-1])))
+        quotients = []
+        for op, w in ((full, u), (half, g.fold(u))):
+            y = op.from_field(w)
+            quotients.append((y @ op.matvec(y)) / (y @ y))
+        assert quotients[1] == pytest.approx(quotients[0], rel=1e-13)
+    a, b = lowest_eigenpair(kappa, V, g), lowest_eigenpair(kappa, g.fold(V), g.even)
+    assert b.lam == pytest.approx(a.lam, rel=1e-12)
+    np.testing.assert_allclose(g.unfold(b.u).values, a.u.values, rtol=0, atol=1e-9)
 
 
 def test_factor_is_positive_exactly_below_lowest_eigenvalue():

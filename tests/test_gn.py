@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from ckn.gn import N_CELLS, R_MAX, J_infinity, _solve, balance_constant, radial_ground_state
+from ckn.gn import (
+    N_CELLS,
+    R_MAX,
+    J_infinity,
+    _newton,
+    _petviashvili,
+    balance_constant,
+    radial_ground_state,
+)
 from ckn.model import sphere_area
 from ckn.symmetric import soliton
 
@@ -51,7 +59,7 @@ def _assert_finite_volume_solution(u, X, Y, Z, p, d, r_max):
 
 def test_newton_certificate(profile):
     # re-solve on the profile's own mesh
-    u, (X, Y, Z) = _solve(profile.u[:-1], P, D, profile.r[-1])
+    u, (X, Y, Z) = _newton(profile.u[:-1], P, D, profile.r[-1])
     _assert_finite_volume_solution(u, X, Y, Z, P, D, profile.r[-1])
     # one mesh alone misses Pohozaev by O(h^2); the extrapolated norms do not
     th = 5.0 / 7.0
@@ -62,11 +70,11 @@ def test_newton_certificate(profile):
 @pytest.mark.parametrize("d", [3, 4, 5])
 @pytest.mark.parametrize("p", [2.7, 2.8, 3.0])
 def test_solve_from_one_dimensional_profile(p, d):
-    # one solve reaches the ground state in dimension d from the explicit
-    # d = 1 profile; Newton alone from there fails at d = 4 and 5 or lands
-    # on -u
+    # Petviashvili then Newton reach the ground state in dimension d from
+    # the explicit d = 1 profile; Newton alone from there fails at d = 4
+    # and 5 or lands on -u
     r = np.linspace(0.0, R_MAX, N_CELLS + 1)[:-1]
-    u, (X, Y, Z) = _solve(soliton(1.0, p).u(r), p, d, R_MAX)
+    u, (X, Y, Z) = _newton(_petviashvili(soliton(1.0, p).u(r), p, d, R_MAX), p, d, R_MAX)
     _assert_finite_volume_solution(u, X, Y, Z, p, d, R_MAX)
 
 
@@ -111,3 +119,19 @@ def test_domain_and_step_robustness(profile):
     pr2 = radial_ground_state(P, D, r_max=100.0)
     j2 = J_infinity(P, D, "surface", pr2)
     assert abs(j2 / j0 - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("p, j_surface, j_probability", [
+    (2.7, 6.496110622341706, 2.782503110107866),
+    (2.78, 7.467988710096983, 2.9833970658795246),
+    (2.8, 7.719374792097373, 3.032432438675487),
+    (3.0, 10.374343163478596, 3.4876892572895017),
+    (3.3, 14.427632493088055, 3.978280196713907)])
+def test_newton_alone_on_refined_meshes_keeps_the_level(p, j_surface, j_probability):
+    # Petviashvili's iteration runs on the coarse mesh only; each refined
+    # mesh starts Newton from the interpolated solution.  The levels are
+    # those of the solve that restarted Petviashvili on every mesh, to a
+    # few ulps
+    profile = radial_ground_state(p, D)
+    assert J_infinity(p, D, "surface", profile) == pytest.approx(j_surface, rel=2e-15)
+    assert J_infinity(p, D, "probability", profile) == pytest.approx(j_probability, rel=2e-15)

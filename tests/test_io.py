@@ -643,3 +643,19 @@ def test_cli_reproduce_figures_smoke(tmp_path):
     family = {f.name for f in (out / "p2.8_theta_family").glob("diagram_*.svg")}
     assert family == {f"diagram_{t}.svg" for t in ("0.714286", "0.720000", "0.721300",
                                                     "0.728300", "1.000000")}
+
+
+def test_cli_checkpoints_hold_the_full_cylinder(cli_branch_run):
+    # the branch is solved on the even half of the cylinder, but every
+    # checkpoint holds the config's full grid, exactly even in s
+    rc, out, cfg, _, _ = cli_branch_run
+    assert rc == 0
+    config = RunConfig.load(cfg)
+    files = sorted((out / "checkpoints").glob("cp_*.ckn"))
+    assert files
+    for path in files:
+        raw = path.read_bytes()
+        *_, n_s, n_phi = _HEADER.unpack_from(raw, len(MAGIC))
+        assert (n_s, n_phi) == (config.n_s, config.n_phi)
+        v = np.frombuffer(raw[len(MAGIC) + _HEADER.size:-4], "<f8").reshape(n_s, n_phi)
+        np.testing.assert_array_equal(v, v[::-1])

@@ -6,6 +6,7 @@ from ckn.model import (
     Field,
     ProblemParams,
     build_grid,
+    dirichlet_energy,
     evaluate_norms,
     evaluate_Q,
     sphere_area,
@@ -210,3 +211,75 @@ def test_euler_lagrange_pairing_on_grid(soliton_surface):
     g, u, mu, params = soliton_surface
     X, Y, Z = evaluate_norms(u)
     assert X + mu * Y == pytest.approx(Z, rel=5e-3)
+
+
+def _even_field(g, seed, dirichlet=False):
+    """A random field on g, even in s (zero on s = +-L when `dirichlet`)."""
+    v = np.random.default_rng(seed).random(g.shape) + 0.1
+    v = v + v[::-1]
+    if dirichlet:
+        v[0] = v[-1] = 0.0
+    return Field(g, v)
+
+
+@pytest.mark.parametrize("n_s", [48, 49])
+def test_folded_grid_reads_even_fields_as_the_full_grid(n_s):
+    # every integral, energy and interior action of an even field is the
+    # same on the even sector, with no node on s = 0 (even n_s) or with one
+    g = build_grid(8.0, n_s, 10, ProblemParams(5, 2.8))
+    h = g.even
+    assert h is g.even and h.folded and h.n_s == n_s - n_s // 2
+    assert h.s[0] == g.s[n_s // 2] and h.s[-1] == g.s[-1]
+    for seed in range(3):
+        u = _even_field(g, seed)
+        f = g.fold(u)
+        for full, half in [(g.integrate(u.values), h.integrate(f.values)),
+                           (dirichlet_energy(u), dirichlet_energy(f)),
+                           (g.integrate(u.values**3), h.integrate(f.values**3))]:
+            assert half == pytest.approx(full, rel=1e-13)
+        u = _even_field(g, seed, dirichlet=True)
+        full = g.action(u.values).reshape(n_s - 2, -1)[n_s // 2 - 1:]
+        half = h.action(g.fold(u).values).reshape(h.n_s - 1, -1)
+        np.testing.assert_allclose(half, full, rtol=0, atol=1e-13 * np.abs(full).max())
+
+
+def test_unfold_inverts_fold_exactly():
+    for n_s in (48, 49):
+        g = build_grid(8.0, n_s, 10, ProblemParams(5, 2.8))
+        u = _even_field(g, 5)
+        f = g.fold(u)
+        np.testing.assert_array_equal(g.unfold(f).values, u.values)
+        # the folded grid's first row is a dof: restrict and embed keep it
+        np.testing.assert_array_equal(g.even.embed(g.even.restrict(f.values))[:-1, 1:-1],
+                                      f.values[:-1, 1:-1])
+
+
+def test_fold_rejects_a_field_that_is_not_even():
+    g = build_grid(8.0, 48, 10, ProblemParams(5, 2.8))
+    u = _even_field(g, 2)
+    odd = np.repeat(np.sign(g.s)[:, None] * np.exp(-g.s**2)[:, None], g.n_phi, axis=1)
+    scale = np.sqrt(u.norm_sq() / Field(g, odd).norm_sq())
+    g.fold(Field(g, u.values + 1e-12 * scale * odd))  # roundoff-sized: folds
+    with pytest.raises(ValueError, match="not even"):
+        g.fold(Field(g, u.values + 1e-9 * scale * odd))
+    with pytest.raises(ValueError):
+        g.even.even
+
+
+@pytest.mark.parametrize("n_s", [48, 49])
+def test_s_operator_is_the_grid_on_angular_constant_fields(n_s):
+    # the folded grid's 1-D operator is the full grid's action on an even
+    # profile constant in phi; its band is finite in the corners
+    # solve_banded checks but never reads
+    g = build_grid(8.0, n_s, 10, ProblemParams(5, 2.8))
+    h = g.even
+    prof = np.exp(-g.s**2)
+    prof[[0, -1]] = 0.0
+    ab = h.s_operator()
+    assert np.all(np.isfinite(ab))
+    v = prof[n_s // 2:-1]
+    Av = ab[1] * v
+    Av[:-1] += ab[0, 1:] * v[1:]
+    Av[1:] += ab[2, :-1] * v[:-1]
+    full = g.action(np.repeat(prof[:, None], g.n_phi, axis=1)).reshape(n_s - 2, -1)
+    np.testing.assert_allclose(Av, full[n_s // 2 - 1:, 0], rtol=1e-12, atol=1e-12)
