@@ -25,7 +25,7 @@ from .errors import CknError, NonConvergenceError, StepFailureError, SymmetricFa
 from .eigensolver import SolverCache, q_norm
 from .fixedpoint import FixedPointResult, eqmu_residual, roothan_solve, self_potential
 from .io import FieldStore
-from .model import CylinderGrid, Field, ProblemParams, evaluate_norms
+from .model import CylinderGrid, Field, ProblemParams, evaluate_norms, evaluate_Q
 from .symmetric import critical_value_sym, discrete_soliton, mu_FS, soliton, transverse_mode
 
 ASYMMETRY_SYMMETRIC = 1e-4
@@ -176,11 +176,7 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
     def ray(a: float) -> Field:
         return Field(half, np.abs(u_sym.values + a * w.values))
 
-    def quotient(a: float) -> float:
-        X, Y, Z = evaluate_norms(ray(a))
-        return (X + mu0 * Y) / Z ** (2.0 / p)
-
-    seed = ray(_ray_minimum(quotient, eps))
+    seed = ray(_ray_minimum(lambda a: evaluate_Q(ray(a), mu0, 1.0), eps))
     seed = Field(half, seed.values / math.sqrt(seed.norm_sq()))
     fp = roothan_solve(critical_value_sym(mu0, params), self_potential(seed), half, params,
                        warm_start=seed, cache=cache, tol=tol, eigen_tol=eigen_tol)
@@ -240,9 +236,10 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     on a failed step (no convergence, mu <= 0, any CknError from the
     solver, or a jump past the continuity guard) and recovers afterwards;
     each halving appends {"kappa", "reason"} (plus "du" and "bound" for
-    the guard) to provenance["halving_reasons"].  Below eta/64, or once
-    it holds MAX_POINTS points, the walk raises StepFailureError, whose
-    `branch` holds the points collected so far.
+    the guard) to provenance["halving_reasons"].  Below eta/64, once it
+    holds MAX_POINTS points, or when the down walk's end point fails, the
+    walk raises StepFailureError, whose `branch` holds the points
+    collected so far.
     provenance["computed_points"] counts the start and the fixed-point
     points.
     """
@@ -273,7 +270,10 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
             # bifurcation, so once within reach end on the exact symmetric
             # point past it
             if kappa_fs > 0.5 * eta:
-                end = _discrete_point(kappa_fs - 0.5 * eta, grid, params, store)
+                try:
+                    end = _discrete_point(kappa_fs - 0.5 * eta, grid, params, store)
+                except CknError as exc:
+                    stopped = f"the down walk's end point failed: {exc}"
             break
         kappa_next = kappa + sign * eta_cur
         if direction == "up" and kappa_next > kappa_stop:

@@ -1,8 +1,8 @@
 """Lowest eigenpair of the weighted operator -Laplace - kappa V on the cylinder.
 
-The discrete operator is the grid's: on the interior dofs (Dirichlet rows
-at s = +-L, or at s = L alone on a folded grid, and the zero-weight pole
-nodes eliminated), the generalized problem K u = lambda M u is scaled by
+The discrete operator is the grid's: on the interior dofs (the first and
+last rows, Dirichlet or zero-weight, and the zero-weight pole nodes
+eliminated), the generalized problem K u = lambda M u is scaled by
 M^(-1/2) into the standard symmetric one with matrix A = B - kappa V, B
 held by the grid as three diagonals.
 It is solved by block-size-1 LOPCG, Knyazev's locally optimal

@@ -77,22 +77,24 @@ class CylinderGrid:
     poles, phi_j = (pi/2) (1 - cos(pi j / (n_phi - 1))).  Node weights at
     the poles vanish exactly (the angular density is zero there).
 
-    The operator is its edge weights: `es[j]` on every s-edge at phi_j and
-    `ep[i, j]` on the phi-edge (i, j)-(i, j+1), zero on the two pole cells
-    so that pole values never enter any norm or energy; K is the matrix of
-    the energy they weigh.  The solver dofs are the interior nodes (off the
-    Dirichlet ends s = +-L and the poles): `m` is their quadrature mass and
-    `B` the three nonzero diagonals (offsets 0, 1, n_phi - 2 in s-major
-    order) of the mass-scaled interior stiffness M^-1/2 K_int M^-1/2.
+    The operator is its edge weights: `es[i, j]` on the s-edge
+    (i, j)-(i+1, j) and `ep[i, j]` on the phi-edge (i, j)-(i, j+1), zero on
+    the two pole cells so that pole values never enter any norm or energy;
+    K is the matrix of the energy they weigh.  The solver dofs are the
+    nodes off the first and last rows and the poles: `m` is their
+    quadrature mass and `B` the three nonzero diagonals (offsets 0, 1,
+    n_phi - 2 in s-major order) of the mass-scaled interior stiffness
+    M^-1/2 K_int M^-1/2.
 
     `even` is the folded grid: the sector of fields even in s, on the
-    nodes with s >= 0.  Each node's weight and each s-edge's weight is
-    summed with its mirror image's (a node on s = 0 is its own mirror);
-    an s-edge joining a node to its own mirror carries no flux on even
-    fields and is dropped.  So its first row is a reflecting dof and its
-    last row stays Dirichlet, and every integral, energy and operator
-    entry of an even field is the full grid's.  `fold` and `unfold` map
-    fields between the two.
+    nodes with s >= 0 behind a mirror row, the image of the first node
+    with s > 0.  Each node's and each s-edge's weight is summed with its
+    mirror image's, which leaves the mirror row and its edge with zero
+    weight: for odd n_s that edge's weight went to its image, for even
+    n_s it is the centre edge, which carries no flux on even fields.  So,
+    like a pole, the mirror row is no dof, and every integral, energy and
+    operator entry of an even field is the full grid's.  `fold` and
+    `unfold` map fields between the two.
     """
 
     d: int
@@ -111,29 +113,25 @@ class CylinderGrid:
     ep: np.ndarray
     m: np.ndarray
     B: tuple[np.ndarray, np.ndarray, np.ndarray]
-    folded: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_s, self.n_phi)
 
-    @property
-    def rows(self) -> slice:
-        """The s rows that carry dofs: all but the Dirichlet ends (only
-        s = L on a folded grid)."""
-        return slice(0 if self.folded else 1, -1)
-
     @functools.cached_property
     def even(self) -> CylinderGrid:
-        if self.folded:
-            raise ValueError("a folded grid has no even sector of its own")
-        k = self.n_s // 2
-        twice = np.full(self.n_s - k, 2.0)
+        if not np.allclose(self.s, -self.s[::-1], rtol=0, atol=1e-12 * self.L):
+            raise ValueError("a grid whose s is not symmetric has no even sector")
+        k = self.n_s // 2 - 1  # the mirror row
+        copies = np.full(self.n_s - k, 2.0)  # how many full-grid nodes each row stands for
+        copies[0] = 0.0
         if self.n_s % 2:
-            twice[0] = 1.0  # the node on s = 0 is its own mirror
+            copies[1] = 1.0  # the node on s = 0 is its own mirror
+        es = 2.0 * self.es[k:]
+        es[0] = 0.0
         return _with_operator(dataclasses.replace(
-            self, n_s=self.n_s - k, s=self.s[k:], ws=twice * self.ws[k:], es=2.0 * self.es,
-            ep=twice[:, None] * self.ep[k:], folded=True))
+            self, n_s=self.n_s - k, s=self.s[k:], ws=copies * self.ws[k:], es=es,
+            ep=copies[:, None] * self.ep[k:]))
 
     def fold(self, u: Field) -> Field:
         """u on the folded grid `even`; raises ValueError when the odd part
@@ -143,11 +141,11 @@ class CylinderGrid:
         if self.integrate(odd**2) > EVEN_RTOL**2 * self.integrate(v**2):
             raise ValueError("field is not even in s: its odd part exceeds "
                              f"{EVEN_RTOL:g} of its norm")
-        return Field(self.even, v[self.n_s // 2:])
+        return Field(self.even, v[self.n_s // 2 - 1:])
 
     def unfold(self, u: Field) -> Field:
         """The field on this grid whose fold is u (a field on `even`)."""
-        v = u.values
+        v = u.values[1:]
         return Field(self, np.concatenate([v[::-1][:self.n_s // 2], v]))
 
     @property
@@ -160,26 +158,24 @@ class CylinderGrid:
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
         """Interior dofs of a nodal table, flattened in s-major order."""
-        return values[self.rows, 1:-1].ravel()
+        return values[1:-1, 1:-1].ravel()
 
     def embed(self, vec: np.ndarray) -> np.ndarray:
-        """Inverse of restrict: zero Dirichlet rows, pole rows copy neighbors."""
+        """Inverse of restrict: zero first and last rows, pole rows copy neighbors."""
         full = np.zeros(self.shape)
-        full[self.rows, 1:-1] = vec.reshape(-1, self.n_phi - 2)
+        full[1:-1, 1:-1] = vec.reshape(-1, self.n_phi - 2)
         full[:, 0] = full[:, 1]
         full[:, -1] = full[:, -2]
         return full
 
     def action(self, values: np.ndarray) -> np.ndarray:
         """Pointwise -Laplace u = M^-1 (K u) on the interior dofs: the net
-        edge flux out of each node over its mass.  Edges to s = +-L count,
-        so on an embedded interior vector x, K u is exactly K_int x; the
-        zero rows on either end of fs are the no-flux ends."""
-        fs = np.zeros((self.n_s + 1, self.n_phi))
-        fs[1:-1] = self.es * np.diff(values, axis=0)
+        edge flux out of each node over its mass.  Edges to the first and
+        last rows count, so on an embedded interior vector x, K u is
+        exactly K_int x."""
+        fs = self.es * np.diff(values, axis=0)
         fp = self.ep * np.diff(values, axis=1)
-        r = self.rows
-        net = fs[:-1][r, 1:-1] - fs[1:][r, 1:-1] + fp[r, :-1] - fp[r, 1:]
+        net = fs[:-1, 1:-1] - fs[1:, 1:-1] + fp[1:-1, :-1] - fp[1:-1, 1:]
         return net.ravel() / self.m
 
     def s_operator(self) -> np.ndarray:
@@ -187,12 +183,12 @@ class CylinderGrid:
         phi: no phi-edge carries a difference, so each s-edge's weight over
         its node's mass couples the rows.  Returned in the (1, 1) banded
         layout of scipy.linalg.solve_banded."""
-        ws = self.ws[self.rows]
-        edge = self.es[1] / self.wphi[1]  # an s-edge's weight per unit angular mass
+        ws = self.ws[1:-1]
+        edge = self.es[:, 1] / self.wphi[1]  # each s-edge's weight per unit angular mass
         ab = np.zeros((3, len(ws)))  # solve_banded checks the unused corners too
-        ab[0, 1:] = -edge / ws[:-1]
-        ab[2, :-1] = -edge / ws[1:]
-        ab[1] = _edges_per_row(len(ws), self.folded) * edge / ws
+        ab[0, 1:] = -edge[1:-1] / ws[:-1]
+        ab[2, :-1] = -edge[1:-1] / ws[1:]
+        ab[1] = (edge[:-1] + edge[1:]) / ws
         return ab
 
 
@@ -232,16 +228,8 @@ def build_grid(L: float, n_s: int, n_phi: int, params: ProblemParams) -> Cylinde
     return _with_operator(CylinderGrid(
         d=d, p=params.p, measure_mode=params.measure_mode, L=L, n_s=n_s, n_phi=n_phi,
         s=s, phi=phi, ws=ws, wphi=wphi, h_s=h_s, angular_total=total,
-        es=wphi / h_s, ep=np.outer(ws, mphi / dphi**2), m=None, B=None,
+        es=np.tile(wphi / h_s, (n_s - 1, 1)), ep=np.outer(ws, mphi / dphi**2), m=None, B=None,
     ))
-
-
-def _edges_per_row(n_rows: int, folded: bool) -> np.ndarray:
-    """s-edges at each dof row: two, but one at a folded grid's reflecting end."""
-    edges = np.full(n_rows, 2.0)
-    if folded:
-        edges[0] = 1.0
-    return edges
 
 
 def _with_operator(g: CylinderGrid) -> CylinderGrid:
@@ -249,14 +237,12 @@ def _with_operator(g: CylinderGrid) -> CylinderGrid:
     # M^-1/2 K_int M^-1/2: a node's diagonal entry sums its edge weights, an
     # edge contributes minus its weight; the zero pole-cell weight ends each
     # phi row, so the offset-1 diagonal needs no gaps
-    r, w = g.rows, g.n_phi - 2
-    m = np.outer(g.ws, g.wphi)[r, 1:-1].ravel()
+    w = g.n_phi - 2
+    m = g.weights[1:-1, 1:-1].ravel()
     isq = 1.0 / np.sqrt(m)
-    n_rows = len(g.ws[r])
-    diag = (_edges_per_row(n_rows, g.folded)[:, None] * g.es[1:-1]
-            + g.ep[r, :-1] + g.ep[r, 1:]).ravel() / m
-    off_phi = -g.ep[r, 1:].ravel()[:-1] * isq[:-1] * isq[1:]
-    off_s = -np.tile(g.es[1:-1], n_rows - 1) * isq[:-w] * isq[w:]
+    diag = ((g.es[:-1] + g.es[1:])[:, 1:-1] + g.ep[1:-1, :-1] + g.ep[1:-1, 1:]).ravel() / m
+    off_phi = -g.ep[1:-1, 1:].ravel()[:-1] * isq[:-1] * isq[1:]
+    off_s = -g.es[1:-1, 1:-1].ravel() * isq[:-w] * isq[w:]
     return dataclasses.replace(g, m=m, B=(diag, off_phi, off_s))
 
 
@@ -284,7 +270,7 @@ def dirichlet_energy(u: Field) -> float:
     """Quadrature-weighted energy int |grad u|^2: the edge-weighted sum of
     squared differences, exactly zero on constants."""
     g, v = u.grid, u.values
-    x_s = np.einsum("j,ij->", g.es, np.diff(v, axis=0) ** 2)
+    x_s = np.einsum("ij,ij->", g.es, np.diff(v, axis=0) ** 2)
     x_phi = np.einsum("ij,ij->", g.ep, np.diff(v, axis=1) ** 2)
     return float(x_s + x_phi)
 

@@ -151,10 +151,9 @@ def discrete_soliton(kappa: float, params: ProblemParams, grid: CylinderGrid):
     """
     p = params.p
     half = grid.even
-    rows = half.rows
-    wm = half.angular_total * half.ws[rows]
+    wm = half.angular_total * half.ws[1:-1]
     mu = mu_from_kappa_sym(kappa, params)
-    v = soliton(mu, p).u(half.s[rows])
+    v = soliton(mu, p).u(half.s[1:-1])
     lap = half.s_operator()
     for _ in range(50):
         a = np.abs(v) ** (p - 2.0)
@@ -173,7 +172,7 @@ def discrete_soliton(kappa: float, params: ProblemParams, grid: CylinderGrid):
             break
         if np.max(np.abs(dv)) <= 1e-10 * np.max(np.abs(v)) and abs(dmu) <= 1e-10 * mu:
             prof = np.zeros(half.n_s)
-            prof[rows] = v
+            prof[1:-1] = v
             u = grid.unfold(Field(half, np.repeat(prof[:, None], grid.n_phi, axis=1)))
             return mu, u.values[:, 0]
     raise NonConvergenceError(

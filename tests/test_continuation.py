@@ -16,7 +16,7 @@ from ckn.continuation import (
     symmetric_discrete_branch,
 )
 from ckn.eigensolver import SolverCache
-from ckn.errors import NonConvergenceError, SymmetricFallbackError
+from ckn.errors import NonConvergenceError, StepFailureError, SymmetricFallbackError
 from ckn.fixedpoint import eqmu_residual, roothan_solve, self_potential
 from ckn.io import FieldStore
 from ckn.model import Field, ProblemParams, build_grid, evaluate_norms
@@ -216,6 +216,26 @@ def test_down_walk_with_step_past_zero_has_no_terminal_point(mini_branch, coarse
     assert down.provenance["computed_points"] == 1
     assert down.provenance["terminal_mu"] == start.mu
     assert down.points == [start]
+
+
+def test_down_walk_keeps_its_points_when_the_end_point_fails(mini_branch, coarse,
+                                                               tmp_path, monkeypatch):
+    # a failed discrete end point stops the walk like a stall: the points
+    # computed so far come back in the StepFailureError, none is lost
+    _, start, fp, down, _ = mini_branch
+    g, params, cache = coarse
+
+    def failing(kappa, *args):
+        raise NonConvergenceError(f"forced failure at kappa = {kappa}")
+
+    monkeypatch.setattr(continuation, "discrete_soliton", failing)
+    with pytest.raises(StepFailureError, match="end point failed: forced failure") as exc:
+        continue_branch(start, down.provenance["eta"], "down", 0.0, g, params,
+                        FieldStore(tmp_path), start_result=fp, cache=cache)
+    branch = exc.value.branch
+    computed = [pt.kappa for pt in down.points if np.isfinite(pt.gap)]
+    assert [pt.kappa for pt in branch.points] == computed
+    assert branch.provenance["computed_points"] == len(computed) > 1
 
 
 def test_energy_ordering_along_branch(mini_branch):

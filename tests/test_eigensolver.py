@@ -180,7 +180,7 @@ def dense_B(g):
 def polarized_B(g):
     """B from the energy alone: K_ij = (E(e_i + e_j) - E(e_i) - E(e_j)) / 2 on
     the interior nodes, scaled by m^-1/2 on both sides."""
-    nodes = [(i, j) for i in range(g.n_s)[g.rows] for j in range(1, g.n_phi - 1)]
+    nodes = [(i, j) for i in range(1, g.n_s - 1) for j in range(1, g.n_phi - 1)]
 
     def energy(*idx):
         v = np.zeros(g.shape)
@@ -205,7 +205,7 @@ def test_band_storage_is_exact(n_s, n_phi, folded):
     # neighbours (offset n_phi - 2) only, so the grid's three diagonals are
     # the whole operator, the band holds the shifted operator entry for
     # entry and its Cholesky factor reproduces it; on the folded grid too,
-    # whose first row is a reflecting dof
+    # whose zero-weight mirror row is no dof
     params = ProblemParams(D, P, 1.0, "surface")
     g = build_grid(8.0, n_s, n_phi, params)
     if folded:

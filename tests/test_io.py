@@ -589,6 +589,26 @@ def test_cli_branch_point_cap_keeps_partial_results(tmp_path, monkeypatch):
     assert all(np.isfinite(r[header.index("gap")]) for r in rows)
 
 
+def test_cli_branch_keeps_partial_results_when_the_down_walk_end_fails(tmp_path,
+                                                                        monkeypatch):
+    # the down walk's discrete end point fails: the points computed so far
+    # still reach branch.csv and the manifest says why the run stopped
+    def failing(kappa, *args):
+        raise NonConvergenceError(f"forced failure at kappa = {kappa}")
+
+    monkeypatch.setattr(continuation, "discrete_soliton", failing)
+    cfg = _tiny_config(tmp_path)
+    assert cli.main(["branch", "--config", str(cfg)]) == 3
+    out = tmp_path / "out"
+    _, header, rows = read_csv(out / "branch.csv")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "end point failed: forced failure" in manifest["stopped"]
+    assert manifest["convergence"]["points_down"] == len(rows) > 1
+    assert manifest["convergence"]["points_up"] == 0
+    assert all(np.isfinite(r[header.index("gap")]) for r in rows)
+    assert len(list((out / "checkpoints").iterdir())) == len(rows)
+
+
 def test_cli_analyze_fails_on_damaged_crossing_checkpoint(tmp_path, capsys):
     # p = 2.78 on 48x10 has one unambiguous crossing; the field written for
     # it comes from the branch checkpoint nearest mu1, and a damaged one is

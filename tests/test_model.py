@@ -222,14 +222,26 @@ def _even_field(g, seed, dirichlet=False):
     return Field(g, v)
 
 
+def _folded_readings(g, f):
+    """What the folded grid and unfold read of a field f on g.even."""
+    h = g.even
+    return [h.integrate(f.values), dirichlet_energy(f), h.action(f.values),
+            h.restrict(f.values), g.unfold(f).values]
+
+
 @pytest.mark.parametrize("n_s", [48, 49])
 def test_folded_grid_reads_even_fields_as_the_full_grid(n_s):
     # every integral, energy and interior action of an even field is the
-    # same on the even sector, with no node on s = 0 (even n_s) or with one
+    # same on the even sector, with no node on s = 0 (even n_s) or with one;
+    # its mirror row and that row's edge weigh nothing, so no value in the
+    # mirror row is ever read
     g = build_grid(8.0, n_s, 10, ProblemParams(5, 2.8))
     h = g.even
-    assert h is g.even and h.folded and h.n_s == n_s - n_s // 2
-    assert h.s[0] == g.s[n_s // 2] and h.s[-1] == g.s[-1]
+    assert h is g.even and h.n_s == n_s - n_s // 2 + 1
+    np.testing.assert_array_equal(h.s, g.s[n_s // 2 - 1:])
+    assert g.es.shape == (n_s - 1, 10) and h.es.shape == (h.n_s - 1, 10)
+    assert h.ws[0] == 0 and np.all(h.es[0] == 0) and np.all(h.ep[0] == 0)
+    rng = np.random.default_rng(n_s)
     for seed in range(3):
         u = _even_field(g, seed)
         f = g.fold(u)
@@ -237,9 +249,13 @@ def test_folded_grid_reads_even_fields_as_the_full_grid(n_s):
                            (dirichlet_energy(u), dirichlet_energy(f)),
                            (g.integrate(u.values**3), h.integrate(f.values**3))]:
             assert half == pytest.approx(full, rel=1e-13)
+        mirror = f.values.copy()
+        mirror[0] = 100.0 * rng.standard_normal(g.n_phi)
+        for a, b in zip(_folded_readings(g, f), _folded_readings(g, Field(h, mirror))):
+            np.testing.assert_array_equal(a, b)
         u = _even_field(g, seed, dirichlet=True)
         full = g.action(u.values).reshape(n_s - 2, -1)[n_s // 2 - 1:]
-        half = h.action(g.fold(u).values).reshape(h.n_s - 1, -1)
+        half = h.action(g.fold(u).values).reshape(h.n_s - 2, -1)
         np.testing.assert_allclose(half, full, rtol=0, atol=1e-13 * np.abs(full).max())
 
 
@@ -249,9 +265,9 @@ def test_unfold_inverts_fold_exactly():
         u = _even_field(g, 5)
         f = g.fold(u)
         np.testing.assert_array_equal(g.unfold(f).values, u.values)
-        # the folded grid's first row is a dof: restrict and embed keep it
-        np.testing.assert_array_equal(g.even.embed(g.even.restrict(f.values))[:-1, 1:-1],
-                                      f.values[:-1, 1:-1])
+        # the folded grid's dofs are rows 1:-1, as on the full grid
+        np.testing.assert_array_equal(g.even.embed(g.even.restrict(f.values))[1:-1, 1:-1],
+                                      f.values[1:-1, 1:-1])
 
 
 def test_fold_rejects_a_field_that_is_not_even():
@@ -262,7 +278,7 @@ def test_fold_rejects_a_field_that_is_not_even():
     g.fold(Field(g, u.values + 1e-12 * scale * odd))  # roundoff-sized: folds
     with pytest.raises(ValueError, match="not even"):
         g.fold(Field(g, u.values + 1e-9 * scale * odd))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not symmetric"):
         g.even.even
 
 
