@@ -22,22 +22,23 @@ from ckn.symmetric import critical_value_sym, mu_FS
 p, d = 2.8, 5
 params = ProblemParams(d, p, 1.0, "surface")
 grid = build_grid(8.0, 160, 20, params)
-store = FieldStore(tempfile.mkdtemp(prefix="ckn_demo_"))
 cache = SolverCache()
 mu_fs = mu_FS(p, d)
 
-print(f"initializing at mu0 = 1.2 mu_FS = {1.2 * mu_fs:.4f} ...")
-start, _ = initialize(1.2 * mu_fs, 0.05, grid, params, store, cache)
-j_sym = critical_value_sym(start.mu, params)
-print(f"  found: mu = {start.mu:.4f}, asymmetry = {start.asymmetry:.3f}")
-print(f"  energy {start.kappa:.4f} < symmetric level {j_sym:.4f}")
+with tempfile.TemporaryDirectory(prefix="ckn_demo_") as tmp:
+    store = FieldStore(tmp)
+    print(f"initializing at mu0 = 1.2 mu_FS = {1.2 * mu_fs:.4f} ...")
+    start, _ = initialize(1.2 * mu_fs, 0.05, grid, params, store, cache)
+    j_sym = critical_value_sym(start.mu, params)
+    print(f"  found: mu = {start.mu:.4f}, asymmetry = {start.asymmetry:.3f}")
+    print(f"  energy {start.kappa:.4f} < symmetric level {j_sym:.4f}")
 
-print("\nwalking down towards the bifurcation ...")
-eta = start.kappa / 120.0
-# the walk reads its start back from the checkpoint `initialize` saved
-down = continue_branch(start, eta, "down", 0.0, grid, params, store, cache=cache)
-print(f"  {len(down.points)} points, terminal mu = {down.provenance['terminal_mu']:.4f} "
-      f"(mu_FS = {mu_fs:.4f})")
+    print("\nwalking down towards the bifurcation ...")
+    eta = start.kappa / 120.0
+    # the walk reads its start back from the checkpoint `initialize` saved
+    down = continue_branch(start, eta, "down", 0.0, grid, params, store, cache=cache)
+    print(f"  {len(down.points)} points, terminal mu = {down.provenance['terminal_mu']:.4f} "
+          f"(mu_FS = {mu_fs:.4f})")
 
 print("\npitchfork scaling asymmetry^2 ~ (mu - mu_FS):")
 pts = [q for q in down.points if q.mu > mu_fs and 0.02 < q.asymmetry < 0.45]

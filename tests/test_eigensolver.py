@@ -320,3 +320,18 @@ def test_converges_from_start_near_tolerance(grid400, cache):
     assert res.residual <= tol
     assert res.iterations <= 20
     assert res.lam == pytest.approx(exact.lam, abs=1e-12)
+
+
+def test_shared_cache_factors_once_per_kappa():
+    # every solve at one kappa shares the factor, whatever its potential; a
+    # new kappa is a new operator family and gets a factor of its own
+    params = ProblemParams(D, P, 1.0, "surface")
+    g = build_grid(8.0, 48, 10, params)
+    kappa, V, _ = soliton_problem(g, 2.0)
+    _, W, _ = soliton_problem(g, 3.0)
+    cache = SolverCache()
+    lowest_eigenpair(kappa, V, g, cache=cache)
+    lowest_eigenpair(kappa, W, g, cache=cache)
+    assert cache.factorizations == 1
+    lowest_eigenpair(1.5 * kappa, V, g, cache=cache)
+    assert cache.factorizations == 2

@@ -217,3 +217,38 @@ def test_result_carries_certificate(setup):
     assert fp.gap == pytest.approx(
         q_norm(Field(g, self_potential(fp.u).values - fp.V.values)), rel=1e-12)
     assert fp.gap <= fixedpoint.SELF_CONSISTENCY_TOL
+
+
+def _secant_history(g, m, seed):
+    """A weighted Anderson history of m random secant pairs on g, and a
+    residual partly in their span."""
+    rng = np.random.default_rng(seed)
+    sqrt_w = np.sqrt(g.weights).ravel()
+    V_self = self_potential(Field(g, 1.0 + rng.random(g.shape)))
+    dF = 1e-2 * rng.standard_normal((m, g.n_s * g.n_phi))
+    steps = dF + 1e-2 * rng.standard_normal(dF.shape)
+    F = rng.standard_normal(m) @ dF + 1e-3 * rng.standard_normal(dF.shape[1])
+    return V_self, sqrt_w * F, sqrt_w * dF, steps
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_anderson_gram_solve_is_the_least_squares_solve(m):
+    # on a full-rank history the normal equations through the Gram matrix
+    # give lstsq's gamma, so the same candidate
+    g = build_grid(8.0, 160, 20, ProblemParams(D, P, 1.0, "surface")).even
+    V_self, Fw, dFw, steps = _secant_history(g, m, m)
+    cand = fixedpoint._anderson(V_self, Fw, dFw, steps)
+    gamma = np.linalg.lstsq(dFw.T, Fw, rcond=None)[0]
+    ref = np.maximum(V_self.values - (gamma @ steps).reshape(g.shape), 0.0)
+    ref /= q_norm(Field(g, ref))
+    assert np.abs(cand.values - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_anderson_survives_a_rank_deficient_history():
+    # one pair stored twice makes the Gram matrix singular: its null
+    # direction is dropped, not inverted
+    g = build_grid(8.0, 160, 20, ProblemParams(D, P, 1.0, "surface")).even
+    V_self, Fw, dFw, steps = _secant_history(g, 2, 7)
+    cand = fixedpoint._anderson(V_self, Fw, dFw[[0, 1, 0]], steps[[0, 1, 0]])
+    assert np.all(np.isfinite(cand.values)) and cand.values.min() >= 0.0
+    assert q_norm(cand) == pytest.approx(1.0, rel=1e-12)

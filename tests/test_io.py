@@ -276,10 +276,17 @@ def test_cli_flag_overrides(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def cli_branch_run(tmp_path_factory):
+def factor_infos():
+    """dpbtrf's `info` for each factor `cli_branch_run` builds."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def cli_branch_run(tmp_path_factory, factor_infos):
     """Exit code, output dir and config of one `ckn branch` run, plus the
     numbers of Cholesky solves and of factorizations, counted by wrapping
-    the factor's solve and LAPACK's dpbtrf."""
+    the factor's solve and LAPACK's dpbtrf (whose `info` goes to
+    `factor_infos`)."""
     tmp = tmp_path_factory.mktemp("clirun")
     cfg = _tiny_config(tmp, n_s=96, n_phi=12, eta=0.45)
     real = SolverCache.preconditioner
@@ -297,7 +304,9 @@ def cli_branch_run(tmp_path_factory):
 
     def counting_dpbtrf(*args, **kwargs):
         factorizations.append(1)
-        return real_dpbtrf(*args, **kwargs)
+        cb, info = real_dpbtrf(*args, **kwargs)
+        factor_infos.append(info)
+        return cb, info
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SolverCache, "preconditioner", counting)
@@ -396,6 +405,14 @@ def test_cli_branch_certificates(cli_branch_run):
             assert row[i_res] == eqmu_residual(grid.fold(store.load(row[i_cp], grid)),
                                                row[i_mu])
             assert np.isnan(row[i_it]) and np.isnan(row[i_eig]) and np.isnan(row[i_lu])
+
+
+def test_cli_branch_factors_at_a_positive_shift(cli_branch_run, factor_infos):
+    # every solve of the walk starts warm, so the residual-bounded shift
+    # lies below the lowest eigenvalue and no factor meets a non-positive
+    # pivot: the shift-lowering fallback never runs
+    assert cli_branch_run[0] == 0
+    assert len(factor_infos) >= 1 and not any(factor_infos)
 
 
 def test_cli_analyze_outputs(cli_branch_run):

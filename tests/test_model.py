@@ -98,6 +98,32 @@ def test_build_grid_rejects_bad_sizes():
         build_grid(8.0, 100, 4, params)
 
 
+@pytest.mark.parametrize("folded", [False, True])
+def test_integrate_is_the_weighted_double_sum(folded):
+    g = build_grid(8.0, 49, 10, ProblemParams(5, 2.8))
+    if folded:
+        g = g.even
+    v = np.random.default_rng(3).random(g.shape)
+    ref = np.einsum("i,j,ij->", g.ws, g.wphi, v)
+    assert g.integrate(v) == pytest.approx(ref, rel=1e-14)
+
+
+def test_field_rejects_exactly_the_non_finite_values():
+    # a single nan or inf is caught, and so are +inf and -inf together,
+    # whose sum is nan; finite values are accepted even when their sum
+    # overflows
+    g = build_grid(8.0, 32, 8, ProblemParams(5, 2.8))
+    for bad in ([np.nan], [np.inf], [np.inf, -np.inf]):
+        v = np.ones(g.shape)
+        v.flat[:len(bad)] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Field(g, v)
+    big = np.full(g.shape, np.finfo(float).max)
+    with np.errstate(over="ignore"):
+        assert np.isinf(big.sum())
+    np.testing.assert_array_equal(Field(g, big).values, big)
+
+
 def test_field_validation():
     params = ProblemParams(5, 2.8)
     g = build_grid(8.0, 32, 8, params)
