@@ -7,6 +7,12 @@ diagnostics: energy crossings, minimizing envelopes, and the existence
 threshold tied to the Gagliardo-Nirenberg constant.
 """
 
+import os
+
+# one BLAS thread unless the user set another: threads double CPU time and slow
+# the band factor at these sizes.  OpenBLAS reads it once, when numpy loads it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analysis import (
     Crossing,
     ThetaCurve,

@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import CknError, NonConvergenceError, StepFailureError, SymmetricFallbackError
 from .eigensolver import SolverCache, q_norm
-from .fixedpoint import FixedPointResult, eqmu_residual, roothan_solve, self_potential
+from .fixedpoint import FixedPointResult, roothan_solve, self_potential
 from .io import FieldStore
-from .model import CylinderGrid, Field, ProblemParams, evaluate_norms, evaluate_Q
+from .model import CylinderGrid, Field, ProblemParams, banded_matvec, evaluate_norms, evaluate_Q
 from .symmetric import critical_value_sym, discrete_soliton, mu_FS, soliton, transverse_mode
 
 ASYMMETRY_SYMMETRIC = 1e-4
@@ -189,18 +189,6 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
         fp, u=grid.unfold(fp.u), u_eq=grid.unfold(fp.u_eq), V=grid.unfold(fp.V))
 
 
-def _discrete_point(kappa: float, grid: CylinderGrid, params: ProblemParams,
-                    store: FieldStore | None = None) -> BranchPoint:
-    """The angular-constant critical point at kappa (`discrete_soliton`) as a
-    branch point certified by its eqmu_residual on grid.even, checkpointed
-    on grid into `store` when one is given."""
-    mu, u = discrete_soliton(kappa, params, grid)
-    X, Y, Z = evaluate_norms(u)
-    return BranchPoint(kappa=kappa, mu=mu, X=X, Y=Y, Z=Z, t=X / Y, asymmetry=asymmetry(u),
-                       checkpoint=store.save(grid.unfold(u)) if store is not None else "",
-                       residual=eqmu_residual(u, mu))
-
-
 def _predict(cur: Field, prev: Field | None, ratio: float) -> Field:
     if prev is None:
         return cur
@@ -225,9 +213,10 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     is symmetric (asymmetry < 1e-4) or mu <= mu_FS.  Within 1.5 eta of
     the bifurcation level kappa_FS, where the amplitude mode slows
     critically, it instead ends on the angular-constant critical point of
-    the grid functional at kappa_FS - eta/2 (`discrete_soliton`), unless
-    that level is not positive; it is the one point of a walk not
-    computed by the fixed point.  "up" walks until kappa_stop.  eta halves
+    the grid functional at kappa_FS - eta/2, built as the symmetric
+    reference builds its points (`_symmetric_points`), unless that level
+    is not positive; it is the one point of a walk not computed by the
+    fixed point.  "up" walks until kappa_stop.  eta halves
     on a failed step (no convergence, mu <= 0, any CknError from the
     solver, or a jump past the continuity guard) and recovers afterwards;
     each halving appends {"kappa", "reason"} (plus "du" and "bound" for
@@ -266,7 +255,7 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
             # point past it
             if kappa_fs > 0.5 * eta:
                 try:
-                    end = _discrete_point(kappa_fs - 0.5 * eta, grid, params, store)
+                    (end,) = _symmetric_points([kappa_fs - 0.5 * eta], grid, params, store)
                 except CknError as exc:
                     stopped = f"the down walk's end point failed: {exc}"
             break
@@ -334,18 +323,54 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     return branch
 
 
+def _symmetric_points(kappas, grid: CylinderGrid, params: ProblemParams,
+                      store: FieldStore | None = None) -> list[BranchPoint]:
+    """The angular-constant critical points at the kappas, in their order,
+    from one batched `discrete_soliton` solve, checkpointed on `grid` into
+    `store` when one is given.
+
+    The points are read off the profiles v on `grid.even`: with W the
+    angular mass, Y = W sum ws v^2 and Z = W sum ws |v|^p; X weighs each
+    s-difference by its edge's weights summed over phi (a field constant
+    in phi has no phi differences); `residual` is the 1-D residual of the
+    mu-equation weighted by the interior nodes' mass, which is
+    eqmu_residual's up to roundoff (the poles weigh nothing); the
+    asymmetry is 0.
+    """
+    p, half = params.p, grid.even
+    kappas = np.asarray(kappas, dtype=float)
+    mu, v = discrete_soliton(kappas, params, grid)
+    W = half.wphi.sum()
+    X = np.diff(v, axis=1) ** 2 @ half.es.sum(axis=1)
+    Y = W * (v**2 @ half.ws)
+    Z = W * (np.abs(v) ** p @ half.ws)
+    dof = v[:, 1:-1]
+    r = banded_matvec(half.s_operator(), dof) + mu[:, None] * dof - np.abs(dof) ** (p - 1.0)
+    residual = np.sqrt(W * (r**2 @ half.ws[1:-1]))
+
+    def checkpoint(prof: np.ndarray) -> str:
+        if store is None:
+            return ""
+        return store.save(grid.unfold(Field(half, np.repeat(prof[:, None], half.n_phi, axis=1))))
+
+    return [BranchPoint(kappa=k, mu=m, X=x, Y=y, Z=z, t=x / y, asymmetry=0.0, residual=res,
+                        checkpoint=checkpoint(prof))
+            for k, m, x, y, z, res, prof in zip(kappas.tolist(), mu.tolist(), X.tolist(),
+                                                Y.tolist(), Z.tolist(), residual.tolist(), v)]
+
+
 def symmetric_discrete_branch(kappas, grid: CylinderGrid, params: ProblemParams) -> Branch:
     """Angular-constant critical points of the grid functional at the given kappas.
 
     Each point is the exact 1-D reduction of the discrete problem
-    (`discrete_soliton`) embedded as a field constant in phi, so this is
-    the symmetric family as the same discrete functional sees it;
-    comparing the non-symmetric branch against it cancels the shared
-    discretization bias.  Raises NonConvergenceError naming the kappa
-    whose Newton solve failed.
+    (`discrete_soliton`, one Newton solve for all kappas) embedded as a
+    field constant in phi, so this is the symmetric family as the same
+    discrete functional sees it; comparing the non-symmetric branch
+    against it cancels the shared discretization bias.  Raises
+    NonConvergenceError naming the kappa whose solve failed (the
+    smallest, when several fail in one Newton step).
     """
-    points = [_discrete_point(kappa, grid, params)
-              for kappa in sorted(float(k) for k in kappas)]
+    points = _symmetric_points(np.sort(np.asarray(kappas, dtype=float)), grid, params)
     return Branch(params=params, points=points, provenance={"family": "symmetric-sector"})
 
 

@@ -18,7 +18,8 @@ taken from the same warm start.  Rejected candidates never enter
 `lambda_history`, and a rising plain step raises MonotonicityError.  The
 inner eigensolves run at max(eigen_tol, min(INEXACT_CAP, INEXACT_FACTOR *
 gap)), gap being the previous self-consistency gap, and convergence is
-declared only after a solve at the full eigen_tol.  Monotonicity survives
+declared at the first iterate whose eigensolve residual is within
+eigen_tol, whatever tolerance that solve was asked for.  Monotonicity survives
 the inexact solves because R(u; self_potential(u)) <= R(u; V) holds for
 any u, exact eigenvector or not.
 """
@@ -120,7 +121,7 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
 
     Convergence needs a relative eigenvalue increment below `tol`, a
     self-consistency gap ||self_potential(u) - V||_q below sqrt(tol) and
-    SELF_CONSISTENCY_TOL, and an eigensolve at the full `eigen_tol`.  A
+    SELF_CONSISTENCY_TOL, and an eigensolve residual within `eigen_tol`.  A
     result with mu = -lambda <= 0 is returned too, though it cannot be a
     branch point (solutions of the mu-equation need mu > 0 to decay).
     """
@@ -168,7 +169,7 @@ def roothan_solve(kappa: float, V0: Field, grid: CylinderGrid, params: ProblemPa
         F = V_self.values - V.values
         gap = q_norm(Field(grid, F))
         dlam = abs(history[-1] - history[-2]) if len(history) > 1 else np.inf
-        if (eig_tol <= eigen_tol and dlam <= tol * (1.0 + abs(lam))
+        if (res.residual <= eigen_tol and dlam <= tol * (1.0 + abs(lam))
                 and gap <= np.sqrt(tol) and gap <= SELF_CONSISTENCY_TOL):
             converged = True
             break

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .errors import NonConvergenceError
 from .model import banded_matvec, sphere_area, theta_critical
@@ -67,8 +67,8 @@ class RadialProfile:
 
 def _mesh(n: int, d: float, r_max: float):
     """The finite-volume band of -Lap_r + 1 on n cells of [0, r_max] in
-    dimension d: (ab, vol, w) with ab in solve_banded's (1, 1) layout, vol
-    the cell volumes and w the face flux weights.
+    dimension d: (ab, vol, w) with ab in `CylinderGrid.s_operator`'s
+    (1, 1) banded layout, vol the cell volumes and w the face flux weights.
 
     Node i sits at r_i = i h, h = r_max / n, with the cell [r_i - h/2, r_i + h/2]
     cut at 0; u_n = 0.  Face i + 1/2 carries the flux weight r^(d-1)/h, the
@@ -89,12 +89,15 @@ def _petviashvili(u: np.ndarray, p: float, d: float, r_max: float) -> np.ndarray
     """Petviashvili's iteration on the mesh of len(u) cells from the positive
     start u, until its update is below PETVIASHVILI_TOL of the peak.  With
     L = -Lap_r + 1 and N(u) = vol u^(p-1) on the band of `_mesh`,
-    u <- M^((p-1)/(p-2)) L^-1 N(u), M = <u, Lu> / <u, N(u)>."""
+    u <- M^((p-1)/(p-2)) L^-1 N(u), M = <u, Lu> / <u, N(u)>.  L is
+    symmetric positive definite and the same at every step, so it is
+    factored once (LDL^T, `dpttrf`)."""
     ab, vol, _ = _mesh(len(u), d, r_max)
+    diag, off, _ = dpttrf(ab[1], ab[0, 1:])
     for _ in range(PETVIASHVILI_MAX_STEPS):
         nonlin = vol * np.abs(u) ** (p - 2.0) * u
         m = (u @ banded_matvec(ab, u)) / (u @ nonlin)
-        du = m ** ((p - 1.0) / (p - 2.0)) * solve_banded((1, 1), ab, nonlin) - u
+        du = m ** ((p - 1.0) / (p - 2.0)) * dpttrs(diag, off, nonlin)[0] - u
         u = u + du
         if np.max(np.abs(du)) <= PETVIASHVILI_TOL * np.max(np.abs(u)):
             return u
@@ -108,11 +111,9 @@ def _newton(u: np.ndarray, p: float, d: float, r_max: float):
     for _ in range(30):
         a = np.abs(u) ** (p - 2.0)
         F = banded_matvec(ab, u) - vol * a * u
-        jac = ab.copy()
-        jac[1] -= vol * (p - 1.0) * a
-        du = solve_banded((1, 1), jac, F)
+        *_, du, info = dgtsv(ab[2, :-1], ab[1] - vol * (p - 1.0) * a, ab[0, 1:], F)
         u = u - du
-        if not np.all(np.isfinite(u)):
+        if info or not np.all(np.isfinite(u)):
             break
         if np.max(np.abs(du)) <= 1e-10 * np.max(np.abs(u)):
             grad = np.diff(np.append(u, 0.0))

@@ -251,6 +251,7 @@ def write_manifest(path, config: RunConfig, extra: dict) -> None:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     payload.update(extra)
     _atomic_write(Path(path), json.dumps(payload, indent=2, sort_keys=True).encode())

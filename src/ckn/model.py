@@ -181,10 +181,11 @@ class CylinderGrid:
         """-d2/ds2 on the dof rows, as the grid acts on fields constant in
         phi: no phi-edge carries a difference, so each s-edge's weight over
         its node's mass couples the rows.  Returned in the (1, 1) banded
-        layout of scipy.linalg.solve_banded."""
+        layout: row 0 the superdiagonal from column 1, row 1 the diagonal,
+        row 2 the subdiagonal up to the last column but one."""
         ws = self.ws[1:-1]
         edge = self.es[:, 1] / self.wphi[1]  # each s-edge's weight per unit angular mass
-        ab = np.zeros((3, len(ws)))  # solve_banded checks the unused corners too
+        ab = np.zeros((3, len(ws)))  # the two unused corners stay zero
         ab[0, 1:] = -edge[1:-1] / ws[:-1]
         ab[2, :-1] = -edge[1:-1] / ws[1:]
         ab[1] = (edge[:-1] + edge[1:]) / ws
@@ -192,11 +193,11 @@ class CylinderGrid:
 
 
 def banded_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The product with v of the tridiagonal matrix `ab` held in the (1, 1)
-    banded layout of scipy.linalg.solve_banded (`CylinderGrid.s_operator`'s)."""
+    """The product with v (along its last axis) of the tridiagonal matrix
+    `ab` held in the (1, 1) banded layout of `CylinderGrid.s_operator`."""
     out = ab[1] * v
-    out[:-1] += ab[0, 1:] * v[1:]
-    out[1:] += ab[2, :-1] * v[:-1]
+    out[..., :-1] += ab[0, 1:] * v[..., 1:]
+    out[..., 1:] += ab[2, :-1] * v[..., :-1]
     return out
 
 

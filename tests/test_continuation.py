@@ -37,6 +37,11 @@ from ckn.symmetric import (
 P, D = 2.8, 5
 
 
+def _constant_in_phi(grid, v):
+    """The field on grid with the s-profile v in every phi column."""
+    return Field(grid, np.repeat(v[:, None], grid.n_phi, axis=1))
+
+
 @pytest.fixture(scope="module")
 def coarse():
     params = ProblemParams(D, P, 1.0, "surface")
@@ -197,11 +202,16 @@ def test_down_walk_ends_on_discrete_soliton(mini_branch, coarse):
     g, params, _ = coarse
     kfs = critical_value_sym(mu_FS(P, D), params)
     (end,) = [pt for pt in down.points if pt.kappa == kfs - 0.5 * down.provenance["eta"]]
-    mu, u = discrete_soliton(end.kappa, params, g)
+    mu, v = discrete_soliton(end.kappa, params, g)
+    u = _constant_in_phi(g.even, v)
     stored = store.load(end.checkpoint, g)
     np.testing.assert_array_equal(stored.values, g.unfold(u).values)
     assert end.mu == mu == down.provenance["terminal_mu"]
-    assert end.residual == eqmu_residual(g.fold(stored), mu) <= 1e-10 * np.sqrt(u.norm_sq())
+    # the point's residual is the 1-D one; the stored field's 2-D residual
+    # differs from it by roundoff only
+    residual = eqmu_residual(g.fold(stored), mu)
+    assert end.residual == pytest.approx(residual, abs=1e-12 * np.sqrt(u.norm_sq()))
+    assert residual <= 1e-10 * np.sqrt(u.norm_sq())
     assert np.all(np.isnan([end.gap, end.iterations, end.eigen_iterations, end.lu_solves]))
     computed = [pt for pt in down.points if np.isfinite(pt.gap)]
     assert down.provenance["computed_points"] == len(computed)
@@ -339,17 +349,48 @@ def test_discrete_soliton_solves_the_2d_grid_equation(coarse):
     # 2-D discrete mu-equation to roundoff
     g, params, _ = coarse
     kappa = 1.3 * critical_value_sym(mu_FS(P, D), params)
-    mu, u = discrete_soliton(kappa, params, g)
-    u = g.unfold(u)
+    mu, v = discrete_soliton(kappa, params, g)
+    u = g.unfold(_constant_in_phi(g.even, v))
     assert eqmu_residual(u, mu) <= 1e-12 * np.sqrt(u.norm_sq())
     assert evaluate_norms(u)[2] ** ((P - 2.0) / P) == pytest.approx(kappa, rel=1e-12)
 
 
 def test_symmetric_reference_failure_names_kappa(coarse, monkeypatch):
     g, params, _ = coarse
-    monkeypatch.setattr(symmetric, "solve_banded", lambda lu, ab, b: np.full(b.shape, np.nan))
+    monkeypatch.setattr(symmetric, "dgtsv",
+                        lambda dl, d, du, b: (None, d, du, np.full(b.shape, np.nan), 0))
     with pytest.raises(NonConvergenceError, match="kappa = 12.5"):
         symmetric_discrete_branch([12.5], g, params)
+
+
+def test_symmetric_reference_names_the_kappa_that_fails_in_a_batch():
+    # on 17x10 the Newton solve converges at 0.5 kappa_FS and fails at
+    # 0.85 kappa_FS, alone or in one batch with the first
+    params = ProblemParams(D, P, 1.0, "surface")
+    g = build_grid(8.0, 17, 10, params)
+    kfs = critical_value_sym(mu_FS(P, D), params)
+    assert discrete_soliton(0.5 * kfs, params, g)[0] > 0
+    with pytest.raises(NonConvergenceError, match="kappa = 13.30444808"):
+        discrete_soliton(0.85 * kfs, params, g)
+    with pytest.raises(NonConvergenceError, match="kappa = 13.30444808"):
+        symmetric_discrete_branch([0.5 * kfs, 0.85 * kfs], g, params)
+
+
+def test_symmetric_reference_batch_equals_each_kappa_alone(coarse):
+    # one Newton solve for all kappas gives each the point it has alone,
+    # and the points read off the profiles are the 2-D grid's norms
+    g, params, _ = coarse
+    kfs = critical_value_sym(mu_FS(P, D), params)
+    kappas = kfs * np.array([1.5, 0.3, 0.9, 1.0, 0.55, 1.2])
+    br = symmetric_discrete_branch(kappas, g, params)
+    assert br.column("kappa").tolist() == sorted(kappas.tolist())
+    for pt in br.points:
+        mu, v = discrete_soliton(pt.kappa, params, g)
+        u = g.unfold(_constant_in_phi(g.even, v))
+        assert pt.mu == pytest.approx(mu, rel=1e-14, abs=0)
+        np.testing.assert_allclose((pt.X, pt.Y, pt.Z), evaluate_norms(u), rtol=1e-13, atol=0)
+        assert pt.residual <= 1e-12 * np.sqrt(u.norm_sq())
+        assert pt.asymmetry == 0.0
 
 
 def test_continue_branch_rejects_bad_args(mini_branch, coarse):

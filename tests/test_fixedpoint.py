@@ -141,8 +141,8 @@ def asymmetric_start(kappa_factor, n_s=64, n_phi=10):
     params = ProblemParams(D, P, 1.0, "surface")
     g = build_grid(8.0, n_s, n_phi, params)
     kappa = kappa_factor * critical_value_sym(mu_FS(P, D), params)
-    mu_sym, u = discrete_soliton(kappa, params, g)
-    V = self_potential(g.unfold(u)).values
+    mu_sym, v = discrete_soliton(kappa, params, g)
+    V = self_potential(g.unfold(Field(g.even, np.repeat(v[:, None], n_phi, axis=1)))).values
     V = V * (1.0 + 0.3 * np.cos(g.phi)[None, :] * np.exp(-g.s**2)[:, None])
     V0 = Field(g, V)
     return g, params, kappa, Field(g, V / q_norm(V0)), mu_sym
@@ -252,3 +252,33 @@ def test_anderson_survives_a_rank_deficient_history():
     cand = fixedpoint._anderson(V_self, Fw, dFw[[0, 1, 0]], steps[[0, 1, 0]])
     assert np.all(np.isfinite(cand.values)) and cand.values.min() >= 0.0
     assert q_norm(cand) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa_factor", [0.7, 1.2])
+def test_stops_at_the_first_converged_iterate(monkeypatch, kappa_factor):
+    # an inexact eigensolve whose residual already meets eigen_tol ends the
+    # solve when the gap and the eigenvalue step do; no further iteration
+    # repeats it at the requested eigen_tol
+    g, params, kappa, V0, _ = asymmetric_start(kappa_factor)
+    tol, eigen_tol = 1e-10, 1e-9
+    real = fixedpoint.lowest_eigenpair
+    calls = []
+
+    def recording(kappa, V, grid, tol, **kwargs):
+        res = real(kappa, V, grid, tol=tol, **kwargs)
+        gap = q_norm(Field(grid, self_potential(res.u).values - V.values))
+        calls.append((tol, res.residual, res.lam, gap))
+        return res
+
+    monkeypatch.setattr(fixedpoint, "lowest_eigenpair", recording)
+    fp = roothan_solve(kappa, V0, g, params, tol=tol, eigen_tol=eigen_tol)
+    # the calls whose eigenvalue entered the history, rejected candidates left out
+    accepted = [c for c in calls if c[2] in set(fp.lambda_history)]
+    assert fp.converged and len(accepted) == fp.iterations
+    assert calls[-1][1] <= eigen_tol
+    assert any(requested > eigen_tol for requested, *_ in calls)
+    for k, (_, resid, lam, gap) in enumerate(accepted[:-1]):
+        dlam = abs(lam - accepted[k - 1][2]) if k else np.inf
+        met = (resid <= eigen_tol and dlam <= tol * (1.0 + abs(lam))
+               and gap <= min(np.sqrt(tol), fixedpoint.SELF_CONSISTENCY_TOL))
+        assert not met, f"iteration {k} met every stopping test"
