@@ -8,10 +8,16 @@ threshold tied to the Gagliardo-Nirenberg constant.
 """
 
 import os
+import sys
 
-# one BLAS thread unless the user set another: threads double CPU time and slow
-# the band factor at these sizes.  OpenBLAS reads it once, when numpy loads it.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# One BLAS thread unless the user set another: threads double CPU time and
+# slow the band factor at these sizes.  OpenBLAS reads the variable once,
+# when numpy loads it, so the default is set only while numpy is not loaded.
+# BLAS_THREADS is the value in effect as far as ckn can tell: the user's,
+# ckn's "1", or None when numpy was loaded first with the variable unset.
+BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
+if BLAS_THREADS is None and "numpy" not in sys.modules:
+    BLAS_THREADS = os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .analysis import (
     Crossing,

@@ -24,9 +24,15 @@ import numpy as np
 
 from .errors import CknError, NonConvergenceError, StepFailureError, SymmetricFallbackError
 from .eigensolver import SolverCache, q_norm
-from .fixedpoint import FixedPointResult, roothan_solve, self_potential
+from .fixedpoint import (
+    FixedPointResult,
+    eqmu_residual,
+    profile_residual,
+    roothan_solve,
+    self_potential,
+)
 from .io import FieldStore
-from .model import CylinderGrid, Field, ProblemParams, banded_matvec, evaluate_norms, evaluate_Q
+from .model import CylinderGrid, Field, ProblemParams, evaluate_norms, evaluate_Q, profile_norms
 from .symmetric import critical_value_sym, discrete_soliton, mu_FS, soliton, transverse_mode
 
 ASYMMETRY_SYMMETRIC = 1e-4
@@ -55,9 +61,11 @@ class BranchPoint:
     """One converged critical point, stored by value plus a checkpoint id.
 
     Its certificate is `residual`, the eqmu_residual of the stored field at
-    mu, and `gap`, the fixed point's final self-consistency gap.  `gap`,
-    `iterations`, `eigen_iterations` and `lu_solves` (the fixed point's
-    work counters) are nan for a point not computed by the fixed point.
+    mu (for a point of the symmetric reference, which stores none, that of
+    its field constant in phi, read off the profile), and `gap`, the fixed
+    point's final self-consistency gap.  `gap`, `iterations`,
+    `eigen_iterations` and `lu_solves` (the fixed point's work counters)
+    are nan for a point not computed by the fixed point.
     The fields, in order, are the non-theta columns of `branch.csv`.
     """
 
@@ -326,37 +334,28 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
 def _symmetric_points(kappas, grid: CylinderGrid, params: ProblemParams,
                       store: FieldStore | None = None) -> list[BranchPoint]:
     """The angular-constant critical points at the kappas, in their order,
-    from one batched `discrete_soliton` solve, checkpointed on `grid` into
-    `store` when one is given.
+    from one batched `discrete_soliton` solve.
 
-    The points are read off the profiles v on `grid.even`: with W the
-    angular mass, Y = W sum ws v^2 and Z = W sum ws |v|^p; X weighs each
-    s-difference by its edge's weights summed over phi (a field constant
-    in phi has no phi differences); `residual` is the 1-D residual of the
-    mu-equation weighted by the interior nodes' mass, which is
-    eqmu_residual's up to roundoff (the poles weigh nothing); the
-    asymmetry is 0.
+    X, Y, Z and the residual are read off the profiles on `grid.even`
+    (`profile_norms`, `profile_residual`), not off 2-D fields, which
+    would take most of the reference's time; the asymmetry of a field
+    constant in phi is 0.  When `store` is given, each point saves its
+    field, on `grid`, and is certified as every stored point is: by the
+    eqmu_residual of the field it saves.
     """
-    p, half = params.p, grid.even
-    kappas = np.asarray(kappas, dtype=float)
+    half = grid.even
     mu, v = discrete_soliton(kappas, params, grid)
-    W = half.wphi.sum()
-    X = np.diff(v, axis=1) ** 2 @ half.es.sum(axis=1)
-    Y = W * (v**2 @ half.ws)
-    Z = W * (np.abs(v) ** p @ half.ws)
-    dof = v[:, 1:-1]
-    r = banded_matvec(half.s_operator(), dof) + mu[:, None] * dof - np.abs(dof) ** (p - 1.0)
-    residual = np.sqrt(W * (r**2 @ half.ws[1:-1]))
-
-    def checkpoint(prof: np.ndarray) -> str:
-        if store is None:
-            return ""
-        return store.save(grid.unfold(Field(half, np.repeat(prof[:, None], half.n_phi, axis=1))))
-
-    return [BranchPoint(kappa=k, mu=m, X=x, Y=y, Z=z, t=x / y, asymmetry=0.0, residual=res,
-                        checkpoint=checkpoint(prof))
-            for k, m, x, y, z, res, prof in zip(kappas.tolist(), mu.tolist(), X.tolist(),
-                                                Y.tolist(), Z.tolist(), residual.tolist(), v)]
+    X, Y, Z = profile_norms(half, v)
+    residual = profile_residual(half, v, mu)
+    rows = np.column_stack([kappas, mu, X, Y, Z, residual]).tolist()
+    points = [BranchPoint(kappa=k, mu=m, X=x, Y=y, Z=z, t=x / y, asymmetry=0.0, residual=r)
+              for k, m, x, y, z, r in rows]
+    if store is not None:
+        for pt, prof in zip(points, v):
+            u = Field(half, np.repeat(prof[:, None], half.n_phi, axis=1))
+            pt.checkpoint = store.save(grid.unfold(u))
+            pt.residual = eqmu_residual(u, pt.mu)
+    return points
 
 
 def symmetric_discrete_branch(kappas, grid: CylinderGrid, params: ProblemParams) -> Branch:

@@ -244,6 +244,8 @@ def config_echo(config: RunConfig) -> list[str]:
 def write_manifest(path, config: RunConfig, extra: dict) -> None:
     import scipy
 
+    from . import BLAS_THREADS
+
     payload = {
         "config": dataclasses.asdict(config),
         "versions": {
@@ -251,7 +253,7 @@ def write_manifest(path, config: RunConfig, extra: dict) -> None:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "openblas_num_threads": BLAS_THREADS,
     }
     payload.update(extra)
     _atomic_write(Path(path), json.dumps(payload, indent=2, sort_keys=True).encode())

@@ -298,6 +298,19 @@ def evaluate_norms(u: Field) -> tuple[float, float, float]:
     return X, Y, Z
 
 
+def profile_norms(grid: CylinderGrid, v: np.ndarray):
+    """`evaluate_norms` of the fields constant in phi whose s-profiles are
+    the rows of v, as arrays: such a field has no phi differences, so X
+    weighs each s-difference by its edge's weights summed over phi, and
+    the angular mass factors out of Y and Z.  Equal to evaluate_norms up
+    to roundoff, without building the fields."""
+    W = grid.wphi.sum()
+    X = np.diff(v, axis=-1) ** 2 @ grid.es.sum(axis=1)
+    Y = W * (v**2 @ grid.ws)
+    Z = W * (np.abs(v) ** grid.p @ grid.ws)
+    return X, Y, Z
+
+
 def evaluate_Q(u: Field, Lambda: float, theta: float) -> float:
     """Interpolation quotient (X + Lambda Y)^theta Y^(1-theta) / Z^(2/p)."""
     X, Y, Z = evaluate_norms(u)

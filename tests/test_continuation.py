@@ -207,11 +207,7 @@ def test_down_walk_ends_on_discrete_soliton(mini_branch, coarse):
     stored = store.load(end.checkpoint, g)
     np.testing.assert_array_equal(stored.values, g.unfold(u).values)
     assert end.mu == mu == down.provenance["terminal_mu"]
-    # the point's residual is the 1-D one; the stored field's 2-D residual
-    # differs from it by roundoff only
-    residual = eqmu_residual(g.fold(stored), mu)
-    assert end.residual == pytest.approx(residual, abs=1e-12 * np.sqrt(u.norm_sq()))
-    assert residual <= 1e-10 * np.sqrt(u.norm_sq())
+    assert end.residual == eqmu_residual(g.fold(stored), mu) <= 1e-10 * np.sqrt(u.norm_sq())
     assert np.all(np.isnan([end.gap, end.iterations, end.eigen_iterations, end.lu_solves]))
     computed = [pt for pt in down.points if np.isfinite(pt.gap)]
     assert down.provenance["computed_points"] == len(computed)
@@ -389,6 +385,8 @@ def test_symmetric_reference_batch_equals_each_kappa_alone(coarse):
         u = g.unfold(_constant_in_phi(g.even, v))
         assert pt.mu == pytest.approx(mu, rel=1e-14, abs=0)
         np.testing.assert_allclose((pt.X, pt.Y, pt.Z), evaluate_norms(u), rtol=1e-13, atol=0)
+        assert pt.residual == pytest.approx(eqmu_residual(g.fold(u), mu),
+                                            abs=1e-13 * np.sqrt(u.norm_sq()))
         assert pt.residual <= 1e-12 * np.sqrt(u.norm_sq())
         assert pt.asymmetry == 0.0
 
