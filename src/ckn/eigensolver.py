@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import NonConvergenceError, NormalizationError, PositivityError
+from .lapack import dpbtrf, dpbtrs
 from .model import CylinderGrid, Field
 
 SHIFT_GAP = 0.05
@@ -125,7 +125,7 @@ class _BandCholesky:
 
     @property
     def U(self):
-        """The factor as a sparse matrix; only here is scipy.sparse loaded."""
+        """The factor as a sparse matrix for the layer trace; only here is scipy loaded."""
         import scipy.sparse as sp
         return sp.dia_matrix((self.cb, np.arange(len(self.cb) - 1, -1, -1)),
                              shape=(self.cb.shape[1],) * 2)

@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsyev
 
 from .errors import MonotonicityError, NonConvergenceError
+from .lapack import dsyev
 from .model import CylinderGrid, Field, ProblemParams, banded_matvec
 from .eigensolver import SolverCache, lowest_eigenpair, q_norm
 

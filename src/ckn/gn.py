@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .errors import NonConvergenceError
+from .lapack import dgtsv, dpttrf, dpttrs
 from .model import banded_matvec, sphere_area, theta_critical
 from .symmetric import soliton
 

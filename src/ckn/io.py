@@ -21,6 +21,7 @@ written with repr so parsing them back returns identical doubles.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -241,17 +242,24 @@ def config_echo(config: RunConfig) -> list[str]:
     ]
 
 
-def write_manifest(path, config: RunConfig, extra: dict) -> None:
-    import scipy
+@functools.cache
+def _scipy_version() -> str:
+    # from the installed package's metadata: importing scipy would cost
+    # every ckn process its package init
+    import importlib.metadata
 
-    from . import BLAS_THREADS
+    return importlib.metadata.version("scipy")
+
+
+def write_manifest(path, config: RunConfig, extra: dict) -> None:
+    from . import BLAS_THREADS, __version__
 
     payload = {
         "config": dataclasses.asdict(config),
         "versions": {
-            "ckn": "0.1.0",
+            "ckn": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
         },
         "openblas_num_threads": BLAS_THREADS,
     }

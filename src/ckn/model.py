@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import ddot
+
+from .lapack import ddot
 
 MEASURE_MODES = ("probability", "surface")
 MIN_N_S = 16

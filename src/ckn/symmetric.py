@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import NonConvergenceError
+from .lapack import dgtsv
 from .model import CylinderGrid, Field, ProblemParams, banded_matvec, sphere_area
 
 

@@ -686,6 +686,26 @@ def test_import_pins_openblas_threads_unless_set(given, numpy_first, expected, t
     assert json.loads(manifest.read_text())["openblas_num_threads"] == expected
 
 
+def test_branch_and_analyze_run_and_record_versions_without_the_scipy_package(tmp_path):
+    # a fresh interpreter: ckn takes its LAPACK routines straight from
+    # scipy.linalg's extension modules, and the manifest reads scipy's version
+    # from the package metadata
+    cfg = _tiny_config(tmp_path)
+    code = ("import json, sys\n"
+            "from ckn import cli\n"
+            f"assert cli.main(['branch', '--config', {str(cfg)!r}]) == 0\n"
+            f"assert cli.main(['analyze', '--config', {str(cfg)!r}]) == 0\n"
+            "print(sorted(m for m in ('scipy', 'scipy.linalg') if m in sys.modules))\n"
+            "import ckn, scipy\n"
+            f"manifest = json.load(open({str(tmp_path / 'out' / 'manifest.json')!r}))\n"
+            "print(manifest['versions'] == {'ckn': ckn.__version__, 'numpy': "
+            "sys.modules['numpy'].__version__, 'scipy': scipy.__version__})")
+    env = dict(os.environ, PYTHONPATH=str(Path(ckn.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split()[-2:] == ["[]", "True"]
+
+
 def test_cli_reproduce_figures_smoke(tmp_path):
     # 0.7142858 shares its tag with the critical theta round(Theta, 6)
     cfg = _tiny_config(tmp_path, theta_list=[0.7142858, 0.72, 1.0], n_s=48, n_phi=10,
