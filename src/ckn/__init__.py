@@ -34,9 +34,9 @@ from .continuation import (
     Branch,
     BranchPoint,
     asymmetry,
+    compute_branch,
     continue_branch,
     initialize,
-    merge_branches,
     symmetric_discrete_branch,
 )
 from .eigensolver import EigenResult, SolverCache, lowest_eigenpair

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import sys
 import time
 from pathlib import Path
@@ -19,19 +18,14 @@ import numpy as np
 
 from . import analysis, continuation, gn, io, svg
 from .errors import CheckpointError, CknError, ConfigError, NonConvergenceError, StepFailureError
-from .eigensolver import SolverCache
 from .model import ProblemParams, build_grid, theta_critical
 from .symmetric import mu_FS, soliton, soliton_norms
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
-# the ray search of initialize opens at SEED_EPS; the start does not depend on it
-SEED_EPS = 0.05
 # the smallest mu of the symmetric curves (and of the default L), as a share of mu_FS
 MU_MIN_FACTOR = 0.1
-# the branch starts at the level of the soliton mu0 = MU0_FACTOR mu_FS
-MU0_FACTOR = 1.2
 
 
 def _load_config(args) -> io.RunConfig:
@@ -69,70 +63,29 @@ def cmd_symmetric_curve(config: io.RunConfig, out: Path) -> list[Path]:
 
 
 def cmd_branch(config: io.RunConfig, out: Path) -> list[Path]:
-    """Initialize and continue the non-symmetric branch; emit branch.csv."""
+    """Compute the non-symmetric branch; emit branch.csv and manifest.json."""
     grid, params = _grid(config)
-    store = io.FieldStore(out / "checkpoints")
-    cache = SolverCache()
-    mu_fs = mu_FS(config.p, config.d)
-
     manifest = out / "manifest.json"
+    stopped = None
     t0 = time.perf_counter()
     try:
-        start, _ = continuation.initialize(
-            MU0_FACTOR * mu_fs, SEED_EPS, grid, params, store, cache,
-            tol=config.tol, eigen_tol=config.eigen_tol)
+        branch = continuation.compute_branch(
+            grid, params, io.FieldStore(out / "checkpoints"), eta=config.eta,
+            kappa_stop=config.kappa_stop, tol=config.tol, eigen_tol=config.eigen_tol)
+    except StepFailureError as exc:
+        # keep what the stalled walk collected; the error still exits 3
+        branch, stopped = exc.branch, exc
     except CknError as exc:
-        # a failed start saves no checkpoint, but its reason is kept
+        # a rejected grid or a failed start saves no checkpoint, but its reason is kept
         io.write_manifest(manifest, config, {
             "timings": {"initialize_seconds": time.perf_counter() - t0},
             "stopped": str(exc)})
         raise
-    # a walk that never starts (after a stall) takes 0 s
-    timings = {"initialize_seconds": time.perf_counter() - t0,
-               "down_seconds": 0.0, "up_seconds": 0.0}
-    eta = config.eta if config.eta is not None else start.kappa / 200.0
-    kappa_stop = config.kappa_stop if config.kappa_stop is not None else 2.0 * start.kappa
-    walks, stopped = [], None
-    for direction, stop in (("down", 0.0), ("up", kappa_stop)):
-        t_walk = time.perf_counter()
-        try:
-            walks.append(continuation.continue_branch(
-                start, eta, direction, stop, grid, params, store, cache=cache,
-                tol=config.tol, eigen_tol=config.eigen_tol))
-        except StepFailureError as exc:
-            # keep what the stalled walk collected; the error still exits 3
-            walks.append(exc.branch)
-            stopped = exc
-        timings[f"{direction}_seconds"] = time.perf_counter() - t_walk
-        if stopped is not None:
-            break
-    branch = functools.reduce(continuation.merge_branches, walks)
-    timings["branch_seconds"] = time.perf_counter() - t0
 
     path = out / "branch.csv"
     _write_branch(path, config, branch)
-
-    n_points = {w.provenance["direction"]: len(w.points) for w in walks}
     io.write_manifest(manifest, config, {
-        "timings": timings,
-        "convergence": {
-            "eta": eta,
-            "eta_halvings": sum(w.provenance["halvings"] for w in walks),
-            "halving_reasons": [dict(r, direction=w.provenance["direction"])
-                                for w in walks for r in w.provenance["halving_reasons"]],
-            "points_down": n_points.get("down", 0),
-            "points_up": n_points.get("up", 0),
-            "factorizations": cache.factorizations,
-            "kappa_range": [branch.points[0].kappa, branch.points[-1].kappa],
-        },
-        "provenance": {
-            "mu0": MU0_FACTOR * mu_fs, "eps": SEED_EPS,
-            "seed_direction": ("golden-section minimum of the theta = 1 quotient on the ray "
-                               "from u_sym along the transverse mode u_sym(s)^(p/2) cos(phi), "
-                               "solved at kappa_sym(mu0)"),
-        },
-        "stopped": None if stopped is None else str(stopped),
-    })
+        **branch.provenance, "stopped": None if stopped is None else str(stopped)})
     if stopped is not None:
         raise stopped
     return [path, manifest]

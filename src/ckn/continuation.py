@@ -7,6 +7,8 @@ fixed point from there at the soliton's own closed-form level.
 `continue_branch` then steps kappa in either direction, reusing the
 previous potential and eigenfunction, halving the step on failures; the
 down walk ends on the exact discrete symmetric point past the bifurcation.
+`compute_branch` is the whole sequence: the start at MU0_FACTOR mu_FS,
+the walk down, the walk up, and the two joined by kappa.
 
 Every field of the branch is even in s, so the whole walk lives on the
 folded grid `grid.even` (half the unknowns, and no odd translation mode).
@@ -18,11 +20,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CknError, NonConvergenceError, StepFailureError, SymmetricFallbackError
+from .errors import (CknError, ConfigError, NonConvergenceError, StepFailureError,
+                     SymmetricFallbackError)
 from .eigensolver import SolverCache, q_norm
 from .fixedpoint import (
     FixedPointResult,
@@ -41,6 +45,12 @@ MAX_POINTS = 2000
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 RAY_WIDTH = 1e-4
 RAY_MAX_DOUBLINGS = 60
+# the branch starts at the level of the soliton mu0 = MU0_FACTOR mu_FS
+MU0_FACTOR = 1.2
+# the ray search of initialize opens at SEED_EPS; the start does not depend on it
+SEED_EPS = 0.05
+# the fewest cells of h_s that the soliton's width may span at mu0
+MIN_CELLS_PER_WIDTH = 2.0
 
 
 def asymmetry(u: Field) -> float:
@@ -321,13 +331,75 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     prov = {
         "direction": direction, "eta": eta, "kappa_stop": kappa_stop,
         "halvings": len(reasons), "halving_reasons": reasons,
-        "start_kappa": start.kappa, "start_mu": start.mu,
         "terminal_mu": terminal.mu, "terminal_asymmetry": terminal.asymmetry,
         "computed_points": n_computed,
     }
     branch = Branch(params=params, points=ordered, provenance=prov)
     if stopped is not None:
         raise StepFailureError(stopped, branch)
+    return branch
+
+
+def compute_branch(grid: CylinderGrid, params: ProblemParams, store: FieldStore, *,
+                   eta: float | None = None, eta_up: float | None = None,
+                   kappa_stop: float | None = None, cache: SolverCache | None = None,
+                   tol: float = 1e-10, eigen_tol: float = 1e-9) -> Branch:
+    """The branch: `initialize` at mu0 = MU0_FACTOR mu_FS, `continue_branch`
+    down at step `eta` (default kappa0 / 200, kappa0 the start's level) and
+    up at `eta_up` (default `eta`) to `kappa_stop` (default 2 kappa0), the
+    walks joined by kappa.  `provenance` holds the `timings`, `convergence`
+    and `provenance` blocks of manifest.json.  A stalled walk raises
+    StepFailureError whose `branch` holds every point so far; after a
+    stalled down walk the up walk does not run.  Raises ConfigError before
+    any solve when the soliton's width 2 / ((p - 2) sqrt(mu0)) spans fewer
+    than MIN_CELLS_PER_WIDTH cells of h_s, the largest step of grid.s.
+    """
+    mu0 = MU0_FACTOR * mu_FS(params.p, params.d)
+    h_s = float(np.max(np.diff(grid.s)))
+    cells = 2.0 / ((params.p - 2.0) * math.sqrt(mu0)) / h_s
+    if cells < MIN_CELLS_PER_WIDTH:
+        raise ConfigError(f"the grid does not resolve the start level: at mu0 = {mu0:.6g} the "
+                          f"soliton width spans w/h_s = {cells:.3g} cells of h_s = {h_s:.4g}, "
+                          f"fewer than {MIN_CELLS_PER_WIDTH:g}")
+    cache = SolverCache() if cache is None else cache
+    t0 = time.perf_counter()
+    start, _ = initialize(mu0, SEED_EPS, grid, params, store, cache, tol=tol, eigen_tol=eigen_tol)
+    # a walk that never starts (after a stall) takes 0 s
+    timings = {"initialize_seconds": time.perf_counter() - t0,
+               "down_seconds": 0.0, "up_seconds": 0.0}
+    eta = start.kappa / 200.0 if eta is None else eta
+    eta_up = eta if eta_up is None else eta_up
+    kappa_stop = 2.0 * start.kappa if kappa_stop is None else kappa_stop
+    walks, stopped = [], None
+    for direction, step, stop in (("down", eta, 0.0), ("up", eta_up, kappa_stop)):
+        t_walk = time.perf_counter()
+        try:
+            walks.append(continue_branch(start, step, direction, stop, grid, params, store,
+                                         cache=cache, tol=tol, eigen_tol=eigen_tol))
+        except StepFailureError as exc:
+            walks.append(exc.branch)
+            stopped = exc
+        timings[f"{direction}_seconds"] = time.perf_counter() - t_walk
+        if stopped is not None:
+            break
+    points = {pt.kappa: pt for w in walks for pt in w.points}  # both walks hold the start
+    timings["branch_seconds"] = time.perf_counter() - t0
+    branch = Branch(params, [points[k] for k in sorted(points)], {
+        "timings": timings,
+        "convergence": {
+            "eta": eta, "eta_halvings": sum(w.provenance["halvings"] for w in walks),
+            "halving_reasons": [dict(r, direction=w.provenance["direction"])
+                                for w in walks for r in w.provenance["halving_reasons"]],
+            "points_down": len(walks[0].points),
+            "points_up": len(walks[1].points) if len(walks) > 1 else 0,
+            "factorizations": cache.factorizations, "kappa_range": [min(points), max(points)],
+        },
+        "provenance": {"mu0": mu0, "eps": SEED_EPS, "seed_direction": (
+            "golden-section minimum of the theta = 1 quotient on the ray from u_sym along "
+            "the transverse mode u_sym(s)^(p/2) cos(phi), solved at kappa_sym(mu0)")},
+    })
+    if stopped is not None:
+        raise StepFailureError(str(stopped), branch)
     return branch
 
 
@@ -384,12 +456,3 @@ def symmetric_reference(branch: Branch, grid: CylinderGrid, params: ProblemParam
         np.linspace(0.985 * kappa_fs, 1.02 * kappa_fs, 40),
     ])
     return symmetric_discrete_branch(kappas, grid, params)
-
-
-def merge_branches(down: Branch, up: Branch) -> Branch:
-    """Join the two continuation directions into one monotone branch."""
-    pts = {pt.kappa: pt for pt in down.points}
-    pts.update({pt.kappa: pt for pt in up.points})
-    ordered = [pts[k] for k in sorted(pts)]
-    prov = {"down": down.provenance, "up": up.provenance}
-    return Branch(params=down.params, points=ordered, provenance=prov)

@@ -2,36 +2,31 @@
 
 import pytest
 
-from ckn.cli import MU0_FACTOR, SEED_EPS
-from ckn.continuation import (
-    continue_branch,
-    initialize,
-    merge_branches,
-    symmetric_reference,
-)
+from ckn.continuation import MU0_FACTOR, Branch, compute_branch, symmetric_reference
 from ckn.eigensolver import SolverCache
 from ckn.gn import radial_ground_state
 from ckn.io import FieldStore
 from ckn.model import ProblemParams, build_grid
-from ckn.symmetric import mu_FS
+from ckn.symmetric import critical_value_sym, mu_FS
 
 
-def _run_branch(p, d, L, n_s, n_phi, tmp, eta_div=200, eta_up_factor=8.0,
-                kappa_stop_factor=2.4):
+def _run_branch(p, d, L, n_s, n_phi, tmp, kappa_stop_factor=2.4):
+    """The CLI's branch at its default eta, but walked up at 8 eta."""
     params = ProblemParams(d, p, 1.0, "surface")
     grid = build_grid(L, n_s, n_phi, params)
-    store = FieldStore(tmp)
-    cache = SolverCache()
-    start, _ = initialize(MU0_FACTOR * mu_FS(p, d), SEED_EPS, grid, params, store, cache)
-    eta = start.kappa / eta_div
-    down = continue_branch(start, eta, "down", 0.0, grid, params, store, cache=cache)
-    up = continue_branch(start, eta * eta_up_factor, "up",
-                         kappa_stop_factor * start.kappa, grid, params, store, cache=cache)
-    branch = merge_branches(down, up)
+    store, cache = FieldStore(tmp), SolverCache()
+    # the start's level, at which the driver's default eta is kappa0 / 200
+    kappa0 = critical_value_sym(MU0_FACTOR * mu_FS(p, d), params)
+    eta = kappa0 / 200
+    branch = compute_branch(grid, params, store, eta=eta, eta_up=8.0 * eta,
+                            kappa_stop=kappa_stop_factor * kappa0, cache=cache)
+    # the down walk is the points up to the start; it ends on its lowest kappa
+    down = branch.points[:branch.provenance["convergence"]["points_down"]]
     return {
-        "p": p, "d": d, "params": params, "grid": grid, "store": store,
-        "cache": cache, "start": start, "eta": eta,
-        "down": down, "up": up, "branch": branch,
+        "p": p, "d": d, "params": params, "grid": grid, "store": store, "cache": cache,
+        "start": down[-1], "branch": branch,
+        "down": Branch(params, down, {"terminal_mu": down[0].mu,
+                                      "terminal_asymmetry": down[0].asymmetry}),
     }
 
 
@@ -51,16 +46,14 @@ def run_p28(tmp_path_factory):
 @pytest.fixture(scope="session")
 def run_p278(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("branch_p278")
-    run = _run_branch(2.78, 5, L=8.0, n_s=240, n_phi=28, tmp=tmp,
-                      eta_up_factor=8.0, kappa_stop_factor=2.6)
+    run = _run_branch(2.78, 5, L=8.0, n_s=240, n_phi=28, tmp=tmp, kappa_stop_factor=2.6)
     return _add_symmetric_reference(run)
 
 
 @pytest.fixture(scope="session")
 def run_p27(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("branch_p27")
-    run = _run_branch(2.7, 5, L=8.0, n_s=240, n_phi=28, tmp=tmp,
-                      eta_up_factor=8.0, kappa_stop_factor=2.6)
+    run = _run_branch(2.7, 5, L=8.0, n_s=240, n_phi=28, tmp=tmp, kappa_stop_factor=2.6)
     return _add_symmetric_reference(run)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -10,9 +11,9 @@ from ckn.continuation import (
     Branch,
     BranchPoint,
     asymmetry,
+    compute_branch,
     continue_branch,
     initialize,
-    merge_branches,
     symmetric_discrete_branch,
 )
 from ckn.eigensolver import SolverCache
@@ -285,12 +286,56 @@ def test_checkpoints_stored_and_loadable(mini_branch, coarse):
     assert u.values.shape == g.shape
 
 
-def test_merge_branches(mini_branch):
-    _, _, down, up = mini_branch
-    merged = merge_branches(down, up)
-    ks = merged.column("kappa")
-    assert np.all(np.diff(ks) > 0)
-    assert len(merged.points) <= len(down.points) + len(up.points)
+def _assert_same_points(got, want):
+    """Every BranchPoint field bit for bit, nan included."""
+    for f in dataclasses.fields(BranchPoint):
+        np.testing.assert_array_equal([getattr(pt, f.name) for pt in got],
+                                      [getattr(pt, f.name) for pt in want], err_msg=f.name)
+
+
+def test_compute_branch_is_the_start_and_both_walks_joined(mini_branch, coarse, tmp_path):
+    # the same start, eta and stop as the fixture's walks, in a fresh store:
+    # the same points, checkpoint names included, with the start once
+    _, start, down, up = mini_branch
+    g, params, _ = coarse
+    branch = compute_branch(g, params, FieldStore(tmp_path), eta=start.kappa / 60.0,
+                            kappa_stop=start.kappa * 1.1, cache=SolverCache())
+    _assert_same_points(branch.points, down.points + up.points[1:])
+    assert [pt.kappa for pt in branch.points].count(start.kappa) == 1
+    assert np.all(np.diff(branch.column("kappa")) > 0)
+    conv = branch.provenance["convergence"]
+    assert (conv["points_down"], conv["points_up"]) == (len(down.points), len(up.points))
+    assert branch.provenance["provenance"]["mu0"] == continuation.MU0_FACTOR * mu_FS(P, D)
+
+
+def test_compute_branch_defaults(coarse, tmp_path):
+    # eta is kappa0 / 200 and the up walk ends within one step below 2 kappa0;
+    # the up walk takes 25 eta, so it needs 8 steps instead of 200
+    g, params, _ = coarse
+    kappa0 = critical_value_sym(continuation.MU0_FACTOR * mu_FS(P, D), params)
+    branch = compute_branch(g, params, FieldStore(tmp_path), eta_up=kappa0 / 8)
+    assert branch.provenance["convergence"]["eta"] == kappa0 / 200
+    assert 2.0 * kappa0 - kappa0 / 8 < branch.points[-1].kappa <= 2.0 * kappa0
+
+
+def test_compute_branch_keeps_the_down_walk_when_its_end_point_fails(mini_branch, coarse,
+                                                                      tmp_path, monkeypatch):
+    # the stalled down walk's points come back in the StepFailureError, and
+    # the up walk never runs
+    _, start, down, _ = mini_branch
+    g, params, _ = coarse
+
+    def failing(kappa, *args):
+        raise NonConvergenceError(f"forced failure at kappa = {kappa}")
+
+    monkeypatch.setattr(continuation, "discrete_soliton", failing)
+    with pytest.raises(StepFailureError, match="end point failed: forced failure") as exc:
+        compute_branch(g, params, FieldStore(tmp_path), eta=start.kappa / 60.0,
+                       cache=SolverCache())
+    branch = exc.value.branch
+    _assert_same_points(branch.points, [pt for pt in down.points if np.isfinite(pt.gap)])
+    assert branch.provenance["convergence"]["points_up"] == 0
+    assert branch.provenance["timings"]["up_seconds"] == 0
 
 
 def test_branch_validation():
@@ -411,14 +456,11 @@ def test_walk_at_p3_keeps_to_the_centred_branch(tmp_path):
     p = 3.0
     params = ProblemParams(D, p, 1.0, "surface")
     g = build_grid(8.0, 240, 28, params)
-    store, cache = FieldStore(tmp_path), SolverCache()
-    start, _ = initialize(1.2 * mu_FS(p, D), 0.05, g, params, store, cache)
-    eta = start.kappa / 200.0
-    down = continue_branch(start, eta, "down", 0.0, g, params, store, cache=cache)
-    up = continue_branch(start, 8.0 * eta, "up", 2.6 * start.kappa, g, params, store,
-                         cache=cache)
-    assert up.points[-1].kappa > 2.6 * start.kappa - 8.0 * eta
-    branch = merge_branches(down, up)
+    kappa0 = critical_value_sym(continuation.MU0_FACTOR * mu_FS(p, D), params)
+    eta = kappa0 / 200.0
+    branch = compute_branch(g, params, FieldStore(tmp_path), eta=eta, eta_up=8.0 * eta,
+                            kappa_stop=2.6 * kappa0)
+    assert branch.points[-1].kappa > 2.6 * kappa0 - 8.0 * eta
     mu = branch.column("mu")
     assert np.all(np.diff(mu) > 0)
     assert np.max(mu[1:] / mu[:-1]) <= 1.25

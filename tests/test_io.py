@@ -543,7 +543,7 @@ def test_cli_solver_error_exit_code(tmp_path, monkeypatch):
     # below the stability threshold the start falls back to the symmetric
     # solution, which the branch command reports as a solver failure
     # and records the reason in the manifest, leaving no checkpoint
-    monkeypatch.setattr(cli, "MU0_FACTOR", 0.9)
+    monkeypatch.setattr(continuation, "MU0_FACTOR", 0.9)
     cfg = _tiny_config(tmp_path)
     assert cli.main(["branch", "--config", str(cfg)]) == 3
     out = tmp_path / "out"
@@ -552,6 +552,21 @@ def test_cli_solver_error_exit_code(tmp_path, monkeypatch):
     assert manifest["timings"]["initialize_seconds"] > 0
     assert not (out / "branch.csv").exists()
     assert list((out / "checkpoints").iterdir()) == []
+
+
+def test_cli_branch_rejects_an_unresolved_grid(tmp_path, capsys, monkeypatch):
+    # on 17x10 (h_s = 1) the soliton at the start level spans 1.12 cells:
+    # a config error before any solve, with the reason in the manifest
+    solves = []
+    monkeypatch.setattr(continuation, "roothan_solve", lambda *a, **kw: solves.append(a))
+    cfg = _tiny_config(tmp_path, theta_list=[0.72], n_s=17, n_phi=10, eta=0.7)
+    assert cli.main(["branch", "--config", str(cfg)]) == 2
+    assert "w/h_s = 1.12 cells of h_s = 1," in capsys.readouterr().err
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "does not resolve the start level: at mu0 = 5 " in manifest["stopped"]
+    assert solves == [] and list((out / "checkpoints").iterdir()) == []
+    assert not (out / "branch.csv").exists()
 
 
 def test_cli_branch_stall_keeps_partial_results(tmp_path, monkeypatch):
