@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 import time
 from pathlib import Path
@@ -107,7 +108,15 @@ def _write_branch(path: Path, config: io.RunConfig, branch: continuation.Branch)
 
 def _read_branch(path: Path, params: ProblemParams) -> continuation.Branch:
     """The Branch that `_write_branch` wrote to path, bit for bit."""
-    _, header, rows = io.read_csv(path)
+    try:
+        _, header, rows = io.read_csv(path)
+    except FileNotFoundError:
+        # a branch run that stopped before its first point wrote only the manifest
+        manifest = path.with_name("manifest.json")
+        stopped = manifest.exists() and json.loads(manifest.read_text()).get("stopped")
+        if not stopped:
+            raise
+        raise CheckpointError(f"{path.parent} has no {path.name}: ckn branch stopped: {stopped}")
     missing = [c for c in _COLUMNS if c not in header]
     if missing:
         raise CheckpointError(f"{path} has no column {missing[0]}: run the branch command again")

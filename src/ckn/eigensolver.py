@@ -14,20 +14,19 @@ span, so the Rayleigh quotient sequence is non-increasing -- the
 fixed-point loop asserts exactly that.
 
 T is LAPACK's banded Cholesky factor (dpbtrf) of a shifted operator, kept
-in a SolverCache: every solve on one grid at one kappa shares it, so a
-fixed-point solve factors its first operator.  It is built at
-lam - max(SHIFT_GAP, ||r||), lam and r the Rayleigh quotient and residual
-in hand; some eigenvalue lies within ||r|| of lam (Krylov-Weinstein), so a
-warm start puts the shift just below lambda_1, where LOPCG converges
-fastest.  The shift is lowered while dpbtrf meets a non-positive leading
-minor, so T is positive definite.  A factor built for an earlier operator
-degrades as the operator drifts, so a step that keeps more than
-REFRESH_RATIO of the residual on it rebuilds it once.
+in a SolverCache: every solve on one grid at one kappa shares it, so each
+fixed-point solve builds one factor, for its first operator.  It is built
+at lam - max(SHIFT_GAP, ||r||), lam and r the Rayleigh quotient and
+residual in hand; some eigenvalue lies within ||r|| of lam
+(Krylov-Weinstein), so a warm start puts the shift just below lambda_1,
+where LOPCG converges fastest.  The shift is lowered while dpbtrf meets a
+non-positive leading minor, so T is positive definite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,9 +38,6 @@ SHIFT_GAP = 0.05
 # a basis direction whose norm falls below DROP_RTOL times its norm before
 # orthogonalization is numerically in the span of the others
 DROP_RTOL = 1e-10
-# a step that keeps more than this fraction of the residual on a stale
-# factor rebuilds it for the current operator
-REFRESH_RATIO = 0.8
 
 
 @dataclass
@@ -125,60 +121,43 @@ class _BandCholesky:
 
     @property
     def U(self):
-        """The factor as a sparse matrix for the layer trace; only here is scipy loaded."""
-        import scipy.sparse as sp
-        return sp.dia_matrix((self.cb, np.arange(len(self.cb) - 1, -1, -1)),
-                             shape=(self.cb.shape[1],) * 2)
-    L = property(lambda self: self.U.T)
+        """The layer trace's `U.nnz`: n - k stored entries on band diagonal k = 0..w."""
+        w, n = len(self.cb) - 1, self.cb.shape[1]
+        return SimpleNamespace(nnz=(w + 1) * n - w * (w + 1) // 2)
+    L = U  # L = U^T stores as many
 
 
 class SolverCache:
     """Banded Cholesky factor of a shifted operator: the LOPCG preconditioner.
 
-    `negative_pivots` is True when the last factor met a non-positive
-    leading minor: by Sylvester's law of inertia, the shift was not below
-    the lowest eigenvalue.  The factor costs n_s n_phi^3, a solve n_s n_phi^2.
-    One instance serves whole continuation runs; the factor is rebuilt for
-    a new grid, a new kappa (so each fixed-point solve preconditions with
-    a factor of its own first operator), or on request (an unsafe shift,
-    or convergence slowed on a stale factor).  `factorizations` counts
-    them all, rejected ones included.
+    The factor costs n_s n_phi^3, a solve n_s n_phi^2.  It serves every
+    solve on one grid at one kappa, so each fixed-point solve builds one,
+    for its first operator.  `factorizations` counts every factor built,
+    rejected ones included.
     """
 
     def __init__(self):
         self._factor = None
         self._op = None
-        self.negative_pivots = False
         self.factorizations = 0
 
-    def preconditioner(self, op: CylinderOperator, shift: float, rebuild: bool = False):
-        if (rebuild or self._factor is None or self._op.grid is not op.grid
-                or self._op.kappa != op.kappa):
-            self._factor = None  # let the old factor go before the next is built
-            self._factor = _BandCholesky(op.band(shift))
-            self._op = op
+    def preconditioner(self, op: CylinderOperator, lam: float, resid: float):
+        """The solve with the factor for op's grid and kappa.  A new one is built at
+        lam - max(SHIFT_GAP, resid), and at lower shifts while dpbtrf meets a non-positive
+        leading minor: by Sylvester's law, while the shift is not below lambda_1."""
+        if self._factor is not None and self._op.grid is op.grid and self._op.kappa == op.kappa:
+            return self._factor.solve
+        self._factor = None  # let the old factor go before the next is built
+        shift = lam - max(SHIFT_GAP, resid)
+        for attempt in range(8):
+            factor = _BandCholesky(op.band(shift))
             self.factorizations += 1
-            self.negative_pivots = self._factor.info != 0
-        return self._factor.solve
-
-    def built_for(self, op: CylinderOperator) -> bool:
-        """Whether the factor in hand was built for this operator."""
-        return self._factor is not None and self._op is op
-
-
-def _positive_factor(op: CylinderOperator, lam: float, cache: SolverCache, rebuild: bool,
-                     resid: float = 0.0):
-    """The cache's solve; a factor built here is built at lam - max(SHIFT_GAP,
-    resid) and refactored at lower shifts while it is not positive definite."""
-    shift = lam - max(SHIFT_GAP, resid)
-    for attempt in range(8):
-        solve = cache.preconditioner(op, shift, rebuild)
-        if not cache.negative_pivots:
-            return solve
-        solve = None  # let the rejected factor go before the next is built
-        shift -= 2.0 * (attempt + 1)
-        rebuild = True
-    raise NonConvergenceError("shifted operator stayed indefinite")
+            if factor.info == 0:
+                self._factor, self._op = factor, op
+                return factor.solve
+            del factor  # let the rejected factor go before the next is built
+            shift -= 2.0 * (attempt + 1)
+        raise NonConvergenceError("shifted operator stayed indefinite")
 
 
 def _default_start(op: CylinderOperator) -> np.ndarray:
@@ -196,9 +175,7 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
     `warm_start` (a Field) is the previous iterate in fixed-point or
     continuation loops; reusing it typically cuts the steps to a handful.
     The returned Rayleigh quotient never exceeds the warm start's, which
-    downstream monotonicity assertions rely on.  A step that keeps more
-    than REFRESH_RATIO of the residual on a factor built for another
-    operator rebuilds the factor once for this one.
+    downstream monotonicity assertions rely on.
     """
     _check_potential(kappa, V, grid)
     op = CylinderOperator(kappa, V, grid)
@@ -227,7 +204,7 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
         if resid <= tol:
             break
         if solve is None:
-            solve = _positive_factor(op, lam, cache, rebuild=False, resid=resid)
+            solve = cache.preconditioner(op, lam, resid)
         w = solve(r)
         solves += 1
         # orthonormal basis of span{y, T r, p}: a direction that is (numerically)
@@ -255,10 +232,7 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
         Ay = op.matvec(y)
         lam = float(y @ Ay)
         r = Ay - lam * y
-        resid, last = float(np.linalg.norm(r)), resid
-        if resid > REFRESH_RATIO * last and not cache.built_for(op):
-            solve = None  # let the stale factor go before the next is built
-            solve = _positive_factor(op, lam, cache, rebuild=True, resid=resid)
+        resid = float(np.linalg.norm(r))
     else:
         raise NonConvergenceError(f"eigensolver did not reach residual {tol} in {max_iter} "
                                   f"iterations (last residual {resid:.3e})")

@@ -22,10 +22,7 @@ def mu_FS(p: float, d: int) -> float:
     """Threshold 4(d-1)/(p^2-4) where the symmetric branch loses stability."""
     if p <= 2:
         raise ValueError(f"p must exceed 2, got {p}")
-    den = p * p - 4.0
-    if den == 0.0:
-        return math.inf
-    return 4.0 * (d - 1) / den
+    return 4.0 * (d - 1) / (p * p - 4.0)
 
 
 def lambda1_H(mu: float, p: float, d: int) -> float:

@@ -8,7 +8,7 @@ from ckn.eigensolver import (
     SHIFT_GAP,
     CylinderOperator,
     SolverCache,
-    _positive_factor,
+    _BandCholesky,
     lowest_eigenpair,
     q_norm,
 )
@@ -223,9 +223,11 @@ def test_band_storage_is_exact(n_s, n_phi, folded):
     y = np.random.RandomState(4).randn(op.n)
     np.testing.assert_allclose(op.matvec(y), (B - np.diag(op.kv)) @ y,
                                rtol=0, atol=1e-12 * np.abs(B).max())
-    factor = SolverCache().preconditioner(op, shift).__self__
-    UtU = (factor.L @ factor.U).toarray()
-    assert np.abs(UtU - A).max() <= 1e-12 * np.abs(A).max()
+    factor = SolverCache().preconditioner(op, shift + SHIFT_GAP, 0.0).__self__
+    U = sp.dia_matrix((factor.cb, np.arange(w, -1, -1)), shape=A.shape)
+    assert factor.U.nnz == factor.L.nnz == U.nnz
+    U = U.toarray()
+    assert np.abs(U.T @ U - A).max() <= 1e-12 * np.abs(A).max()
 
 
 @pytest.mark.parametrize("n_s", [48, 49])
@@ -258,20 +260,16 @@ def test_factor_is_positive_exactly_below_lowest_eigenvalue():
     kappa, V, _ = soliton_problem(g, 2.0)
     op = CylinderOperator(kappa, V, g)
     lams = np.linalg.eigvalsh(dense_B(g) - np.diag(op.kv))
-    cache = SolverCache()
     for k in range(4):
-        cache.preconditioner(op, lams[k] + 1e-3, rebuild=True)
-        assert cache.negative_pivots
-    cache.preconditioner(op, lams[0] - 1e-3, rebuild=True)
-    assert not cache.negative_pivots
-    assert cache.factorizations == 5
+        assert _BandCholesky(op.band(lams[k] + 1e-3)).info > 0
+    assert _BandCholesky(op.band(lams[0] - 1e-3)).info == 0
 
 
 @pytest.mark.parametrize("built", [False, True])
 def test_indefinite_shift_refactors_once(monkeypatch, built):
     # a shift above the lowest eigenvalue leaves a non-positive leading
-    # minor and is lowered with one more factorization; a factor already
-    # built at a safe shift is kept as it is
+    # minor and is lowered with one more factorization, both counted; a
+    # factor already built for the operator's grid and kappa is kept as it is
     params = ProblemParams(D, P, 1.0, "surface")
     g = build_grid(8.0, 48, 10, params)
     kappa, V, _ = soliton_problem(g, 2.0)
@@ -279,7 +277,7 @@ def test_indefinite_shift_refactors_once(monkeypatch, built):
     op = CylinderOperator(kappa, V, g)
     cache = SolverCache()
     if built:
-        _positive_factor(op, lam1 - 1.0 + SHIFT_GAP, cache, rebuild=False)
+        cache.preconditioner(op, lam1 - 1.0 + SHIFT_GAP, 0.0)
     calls = []
     real = eigensolver.dpbtrf
 
@@ -288,9 +286,10 @@ def test_indefinite_shift_refactors_once(monkeypatch, built):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(eigensolver, "dpbtrf", counting)
-    _positive_factor(op, lam1 + 0.5 + SHIFT_GAP, cache, rebuild=False)
+    solve = cache.preconditioner(op, lam1 + 0.5 + SHIFT_GAP, 0.0)
     assert len(calls) == (0 if built else 2)
-    assert not cache.negative_pivots
+    assert solve.__self__.info == 0
+    assert cache.factorizations == (1 if built else 2)
 
 
 def test_converges_from_start_near_tolerance(grid400, cache):

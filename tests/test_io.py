@@ -412,8 +412,15 @@ def test_cli_branch_factors_at_a_positive_shift(cli_branch_run, factor_infos):
     # every solve of the walk starts warm, so the residual-bounded shift
     # lies below the lowest eigenvalue and no factor meets a non-positive
     # pivot: the shift-lowering fallback never runs
-    assert cli_branch_run[0] == 0
+    rc, out, _, _, factorizations = cli_branch_run
+    assert rc == 0
     assert len(factor_infos) >= 1 and not any(factor_infos)
+    # so each fixed-point solve, a row's or a halved step's, builds one factor
+    _, header, rows = read_csv(out / "branch.csv")
+    i_it = header.index("iterations")
+    convergence = json.loads((out / "manifest.json").read_text())["convergence"]
+    solves = sum(np.isfinite(row[i_it]) for row in rows) + convergence["eta_halvings"]
+    assert convergence["factorizations"] == factorizations == solves
 
 
 def test_cli_analyze_outputs(cli_branch_run):
@@ -567,6 +574,18 @@ def test_cli_branch_rejects_an_unresolved_grid(tmp_path, capsys, monkeypatch):
     assert "does not resolve the start level: at mu0 = 5 " in manifest["stopped"]
     assert solves == [] and list((out / "checkpoints").iterdir()) == []
     assert not (out / "branch.csv").exists()
+
+
+def test_cli_analyze_names_why_the_branch_stopped(tmp_path, capsys):
+    # after a branch run that wrote no branch.csv, analyze reports the
+    # manifest's reason, not only the missing file
+    cfg = _tiny_config(tmp_path, theta_list=[0.72], n_s=17, n_phi=10, eta=0.7)
+    assert cli.main(["branch", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+    assert cli.main(["analyze", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert "has no branch.csv: ckn branch stopped: the grid does not resolve" in err
+    assert "w/h_s = 1.12" in err
 
 
 def test_cli_branch_stall_keeps_partial_results(tmp_path, monkeypatch):

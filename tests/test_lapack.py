@@ -28,6 +28,19 @@ def test_cli_import_loads_only_the_two_scipy_extension_modules():
     assert out.splitlines() == ["['scipy.linalg._fblas', 'scipy.linalg._flapack']", "[]"]
 
 
+def test_factor_size_loads_only_the_two_scipy_extension_modules():
+    # the layer trace reads U.nnz and L.nnz of every factor; the band's
+    # stored entries are counted without scipy.sparse
+    out = _fresh("import sys\n"
+                 "import numpy as np\n"
+                 "from ckn.eigensolver import _BandCholesky\n"
+                 "ab = np.array([[0.0, -1.0, -1.0], [2.0, 2.0, 2.0]], order='F')\n"
+                 "factor = _BandCholesky(ab)\n"
+                 "print(factor.info, factor.U.nnz, factor.L.nnz)\n"
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.splitlines() == ["0 5 5", "['scipy.linalg._fblas', 'scipy.linalg._flapack']"]
+
+
 _SHARED = """
 import numpy as np
 import scipy.linalg
