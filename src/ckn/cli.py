@@ -30,14 +30,13 @@ MU_MIN_FACTOR = 0.1
 
 
 def _load_config(args) -> io.RunConfig:
-    if args.config:
-        config = io.RunConfig.load(args.config)
-    else:
-        config = io.RunConfig()
-    # every flag's dest is the RunConfig field it overrides
+    # every flag's dest is the RunConfig field it overrides; the config is
+    # built once, so the default thetas are those admissible at the final p
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(io.RunConfig)
                  if getattr(args, f.name, None) is not None}
-    return dataclasses.replace(config, **overrides)
+    if args.config:
+        return io.RunConfig.load(args.config, **overrides)
+    return io.RunConfig(**overrides)
 
 
 def _grid(config: io.RunConfig):

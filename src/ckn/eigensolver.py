@@ -3,8 +3,9 @@
 The discrete operator is the grid's: on the interior dofs (the first and
 last rows, Dirichlet or zero-weight, and the zero-weight pole nodes
 eliminated), the generalized problem K u = lambda M u is scaled by
-M^(-1/2) into the standard symmetric one with matrix A = B - kappa V, B
-held by the grid as three diagonals.
+M^(-1/2) into the standard symmetric one with matrix A = B - kappa V.
+The grid applies it (`CylinderGrid.matvec`) and stores it in band form
+for the factor (`CylinderGrid.band`); only the grid reads B's layout.
 It is solved by block-size-1 LOPCG, Knyazev's locally optimal
 preconditioned conjugate gradient (SIAM J. Sci. Comput. 23 (2001)
 517-541): each step applies the preconditioner T once to the
@@ -55,42 +56,6 @@ class EigenResult:
     lu_solves: int
 
 
-class CylinderOperator:
-    """Handle for -Laplace - kappa V in symmetric (mass-scaled) form."""
-
-    def __init__(self, kappa: float, V: Field, grid: CylinderGrid):
-        self.grid = grid
-        self.kappa = kappa
-        self.isq = 1.0 / np.sqrt(grid.m)
-        self.n = grid.m.size
-        self.kv = kappa * grid.restrict(V.values) if kappa != 0.0 else np.zeros(self.n)
-
-    def matvec(self, y: np.ndarray) -> np.ndarray:
-        (diag, off_phi, off_s), w = self.grid.B, self.grid.n_phi - 2
-        out = (diag - self.kv) * y
-        out[:-1] += off_phi * y[1:]
-        out[1:] += off_phi * y[:-1]
-        out[:-w] += off_s * y[w:]
-        out[w:] += off_s * y[:-w]
-        return out
-
-    def band(self, shift: float = 0.0) -> np.ndarray:
-        """B - diag(kv + shift) in LAPACK upper band storage; in s-major order
-        B couples phi neighbours (offset 1) and s neighbours (w = n_phi - 2)."""
-        (diag, off_phi, off_s), w = self.grid.B, self.grid.n_phi - 2
-        ab = np.zeros((w + 1, self.n), order="F")
-        ab[w] = diag - (self.kv + shift)
-        ab[w - 1, 1:] = off_phi
-        ab[0, w:] = off_s
-        return ab
-
-    def to_field(self, y: np.ndarray) -> Field:
-        return Field(self.grid, self.grid.embed(y * self.isq))
-
-    def from_field(self, u: Field) -> np.ndarray:
-        return self.grid.restrict(u.values) / self.isq
-
-
 def q_norm(V: Field) -> float:
     g = V.grid
     q = g.p / (g.p - 2.0)
@@ -138,32 +103,28 @@ class SolverCache:
 
     def __init__(self):
         self._factor = None
-        self._op = None
+        self._key = None  # the grid and kappa of the factor
         self.factorizations = 0
 
-    def preconditioner(self, op: CylinderOperator, lam: float, resid: float):
-        """The solve with the factor for op's grid and kappa.  A new one is built at
-        lam - max(SHIFT_GAP, resid), and at lower shifts while dpbtrf meets a non-positive
-        leading minor: by Sylvester's law, while the shift is not below lambda_1."""
-        if self._factor is not None and self._op.grid is op.grid and self._op.kappa == op.kappa:
+    def preconditioner(self, grid: CylinderGrid, kappa: float, kv: np.ndarray, lam: float,
+                       resid: float):
+        """The solve with the factor of B - diag(kv) on grid, kv = kappa V on its dofs.
+        A factor is kept for its grid and kappa; a new one is built at lam - max(SHIFT_GAP,
+        resid), and at lower shifts while dpbtrf meets a non-positive leading minor: by
+        Sylvester's law, while the shift is not below lambda_1."""
+        if self._factor is not None and self._key[0] is grid and self._key[1] == kappa:
             return self._factor.solve
         self._factor = None  # let the old factor go before the next is built
         shift = lam - max(SHIFT_GAP, resid)
         for attempt in range(8):
-            factor = _BandCholesky(op.band(shift))
+            factor = _BandCholesky(grid.band(kv + shift))
             self.factorizations += 1
             if factor.info == 0:
-                self._factor, self._op = factor, op
+                self._factor, self._key = factor, (grid, kappa)
                 return factor.solve
             del factor  # let the rejected factor go before the next is built
             shift -= 2.0 * (attempt + 1)
         raise NonConvergenceError("shifted operator stayed indefinite")
-
-
-def _default_start(op: CylinderOperator) -> np.ndarray:
-    g = op.grid
-    y = g.restrict(np.repeat(np.exp(-g.s**2)[:, None], g.n_phi, axis=1)) / op.isq
-    return y / np.linalg.norm(y)
 
 
 def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e-9,
@@ -178,33 +139,33 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
     downstream monotonicity assertions rely on.
     """
     _check_potential(kappa, V, grid)
-    op = CylinderOperator(kappa, V, grid)
     if cache is None:
         cache = SolverCache()
+    kv = kappa * grid.restrict(V.values)
+    isq = 1.0 / np.sqrt(grid.m)
+    if warm_start is None:
+        warm_start = Field(grid, np.repeat(np.exp(-grid.s**2)[:, None], grid.n_phi, axis=1))
+    # y = M^1/2 u on the dofs, unit norm
+    y = grid.restrict(warm_start.values) / isq
+    ny = np.linalg.norm(y)
+    if ny == 0.0:
+        raise ValueError("warm start is zero on the interior")
+    y = y / ny
 
-    if warm_start is not None:
-        y = op.from_field(warm_start)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            raise ValueError("warm start is zero on the interior")
-        y = y / ny
-    else:
-        y = _default_start(op)
-
-    Ay = op.matvec(y)
+    Ay = grid.matvec(y, kv)
     lam = float(y @ Ay)
     r = Ay - lam * y
     resid = float(np.linalg.norm(r))
     solve = p = None
     solves = it = 0
     # the basis of span{y, T r, p} and its image under A, one column each
-    Q = np.empty((op.n, 3), order="F")
-    AQ = np.empty((op.n, 3), order="F")
+    Q = np.empty((y.size, 3), order="F")
+    AQ = np.empty((y.size, 3), order="F")
     for it in range(1, max_iter + 1):
         if resid <= tol:
             break
         if solve is None:
-            solve = cache.preconditioner(op, lam, resid)
+            solve = cache.preconditioner(grid, kappa, kv, lam, resid)
         w = solve(r)
         solves += 1
         # orthonormal basis of span{y, T r, p}: a direction that is (numerically)
@@ -220,7 +181,7 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
             nv = np.linalg.norm(v)
             if nv > DROP_RTOL * nv0:
                 Q[:, k] = v / nv
-                AQ[:, k] = op.matvec(Q[:, k])
+                AQ[:, k] = grid.matvec(Q[:, k], kv)
                 k += 1
         H = Q[:, :k].T @ AQ[:, :k]
         _, C = np.linalg.eigh(0.5 * (H + H.T))
@@ -229,7 +190,7 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
         y = Q[:, :k] @ c
         ny = np.linalg.norm(y)
         y, p = y / ny, p / ny
-        Ay = op.matvec(y)
+        Ay = grid.matvec(y, kv)
         lam = float(y @ Ay)
         r = Ay - lam * y
         resid = float(np.linalg.norm(r))
@@ -237,7 +198,7 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
         raise NonConvergenceError(f"eigensolver did not reach residual {tol} in {max_iter} "
                                   f"iterations (last residual {resid:.3e})")
 
-    u = op.to_field(y)
+    u = Field(grid, grid.embed(y * isq))
     sign = -1.0 if grid.integrate(u.values) < 0 else 1.0
     u = Field(grid, sign * u.values / np.sqrt(u.norm_sq()))
     umin, umax = u.values.min(), u.values.max()

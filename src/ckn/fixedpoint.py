@@ -71,10 +71,13 @@ def rescale_to_eqmu(u: Field, kappa: float) -> Field:
 
 
 def eqmu_residual(u_eq: Field, mu: float) -> float:
-    """Weighted L2 norm of -Laplace u + mu u - u^(p-1) on the interior."""
+    """Weighted L2 norm of -Laplace u + mu u - u^(p-1) on the interior, u
+    zero on the first and last rows: -Laplace u + mu u = M^-1 K u + mu u is
+    M^-1/2 (B + mu) M^1/2 u on the dofs."""
     g = u_eq.grid
     u = g.restrict(u_eq.values)
-    r = g.action(u_eq.values) + mu * u - np.abs(u) ** (g.p - 1.0)
+    isq = 1.0 / np.sqrt(g.m)
+    r = isq * g.matvec(u / isq, -mu) - np.abs(u) ** (g.p - 1.0)
     return float(np.sqrt(np.sum(g.m * r**2)))
 
 

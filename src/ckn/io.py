@@ -28,18 +28,19 @@ import numbers
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .model import MIN_N_PHI, MIN_N_S, CylinderGrid, Field, ProblemParams
+from .model import MIN_N_PHI, MIN_N_S, CylinderGrid, Field, ProblemParams, theta_critical
 
 MAGIC = b"CKNFLD01"
 CHECKPOINT_VERSION = 1
 CSV_FORMAT = "ckn-csv-1"
 _HEADER = struct.Struct("<IidBdii")
+DEFAULT_THETAS = (0.72, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0)
 
 
 def _atomic_write(path: Path, data: bytes):
@@ -125,8 +126,8 @@ _ADMITS = {
     "float": (_positive, "a positive number"),
     "float | None": (lambda x: x is None or _positive(x), "a positive number or null"),
     "str": (lambda x: isinstance(x, str), "a string"),
-    "list": (lambda x: isinstance(x, list) and len(x) > 0 and all(map(_positive, x)),
-             "a non-empty list of positive numbers"),
+    "list | None": (lambda x: x is None or isinstance(x, list) and len(x) > 0
+                    and all(map(_positive, x)), "a non-empty list of positive numbers or null"),
 }
 
 
@@ -136,7 +137,7 @@ class RunConfig:
 
     d: int = 5
     p: float = 2.8
-    theta_list: list = field(default_factory=lambda: [0.72, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0])
+    theta_list: list | None = None  # None: those of DEFAULT_THETAS in [Theta(p), 1]
     measure_mode: str = "surface"
     L: float | None = None
     n_s: int = 400
@@ -155,7 +156,11 @@ class RunConfig:
             if not admits(value):
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         try:
-            for th in [1.0, *self.theta_list]:
+            self.params()
+            if self.theta_list is None:
+                tc = theta_critical(self.p, self.d)
+                self.theta_list = [th for th in DEFAULT_THETAS if th >= tc]
+            for th in self.theta_list:
                 self.params(th)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -178,7 +183,8 @@ class RunConfig:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
+    def from_json(cls, text: str, **overrides) -> "RunConfig":
+        """The config of the JSON object `text`, its fields replaced by `overrides`."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -189,11 +195,11 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**{**data, **overrides})
 
     @classmethod
-    def load(cls, path) -> "RunConfig":
-        return cls.from_json(Path(path).read_text())
+    def load(cls, path, **overrides) -> "RunConfig":
+        return cls.from_json(Path(path).read_text(), **overrides)
 
 
 def _fmt(x) -> str:

@@ -86,7 +86,7 @@ class CylinderGrid:
     nodes off the first and last rows and the poles: `m` is their
     quadrature mass and `B` the three nonzero diagonals (offsets 0, 1,
     n_phi - 2 in s-major order) of the mass-scaled interior stiffness
-    M^-1/2 K_int M^-1/2.
+    M^-1/2 K_int M^-1/2, which only `matvec` and `band` read.
 
     `even` is the folded grid: the sector of fields even in s, on the
     nodes with s >= 0 behind a mirror row, the image of the first node
@@ -168,15 +168,26 @@ class CylinderGrid:
         full[:, -1] = full[:, -2]
         return full
 
-    def action(self, values: np.ndarray) -> np.ndarray:
-        """Pointwise -Laplace u = M^-1 (K u) on the interior dofs: the net
-        edge flux out of each node over its mass.  Edges to the first and
-        last rows count, so on an embedded interior vector x, K u is
-        exactly K_int x."""
-        fs = self.es * np.diff(values, axis=0)
-        fp = self.ep * np.diff(values, axis=1)
-        net = fs[:-1, 1:-1] - fs[1:, 1:-1] + fp[1:-1, :-1] - fp[1:-1, 1:]
-        return net.ravel() / self.m
+    def matvec(self, y: np.ndarray, shift) -> np.ndarray:
+        """(B - diag(shift)) y for a vector y of interior dofs; `shift` is
+        an array on the dofs (kappa V) or a scalar."""
+        (diag, off_phi, off_s), w = self.B, self.n_phi - 2
+        out = (diag - shift) * y
+        out[:-1] += off_phi * y[1:]
+        out[1:] += off_phi * y[:-1]
+        out[:-w] += off_s * y[w:]
+        out[w:] += off_s * y[:-w]
+        return out
+
+    def band(self, shift) -> np.ndarray:
+        """B - diag(shift) in LAPACK upper band storage; in s-major order B
+        couples phi neighbours (offset 1) and s neighbours (w = n_phi - 2)."""
+        (diag, off_phi, off_s), w = self.B, self.n_phi - 2
+        ab = np.zeros((w + 1, diag.size), order="F")
+        ab[w] = diag - shift
+        ab[w - 1, 1:] = off_phi
+        ab[0, w:] = off_s
+        return ab
 
     def s_operator(self) -> np.ndarray:
         """-d2/ds2 on the dof rows, as the grid acts on fields constant in

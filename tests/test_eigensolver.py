@@ -6,13 +6,12 @@ from ckn import eigensolver
 from ckn.errors import NormalizationError
 from ckn.eigensolver import (
     SHIFT_GAP,
-    CylinderOperator,
     SolverCache,
     _BandCholesky,
     lowest_eigenpair,
     q_norm,
 )
-from ckn.fixedpoint import self_potential
+from ckn.fixedpoint import eqmu_residual, self_potential
 from ckn.model import Field, ProblemParams, build_grid, dirichlet_energy
 from ckn.symmetric import mu_FS, soliton
 
@@ -40,6 +39,11 @@ def soliton_problem(g, mu):
     V = self_potential(u)
     kappa = float(g.integrate(np.abs(u.values) ** g.p) ** ((g.p - 2.0) / g.p))
     return kappa, V, u
+
+
+def scaled(w):
+    """The dof vector M^1/2 u of a field w, which B acts on."""
+    return w.grid.restrict(w.values) * np.sqrt(w.grid.m)
 
 
 def test_kappa_zero_dirichlet_mode(grid400):
@@ -74,11 +78,11 @@ def test_rayleigh_quotient_optimality(grid400, cache):
     g = grid400
     kappa, V, _ = soliton_problem(g, mu_FS(P, D))
     res = lowest_eigenpair(kappa, V, g, cache=cache)
-    op = CylinderOperator(kappa, V, g)
+    kv = kappa * g.restrict(V.values)
     rng = np.random.RandomState(0)
     for _ in range(20):
-        v = rng.randn(op.n)
-        assert v @ op.matvec(v) / (v @ v) >= res.lam - 1e-9
+        v = rng.randn(kv.size)
+        assert v @ g.matvec(v, kv) / (v @ v) >= res.lam - 1e-9
 
 
 def test_grid_convergence_order(cache):
@@ -106,13 +110,13 @@ def test_eigenfunction_symmetric_for_symmetric_potential(grid400, cache):
 def test_operator_self_adjoint(grid400):
     g = grid400
     kappa, V, _ = soliton_problem(g, 2.0)
-    op = CylinderOperator(kappa, V, g)
+    kv = kappa * g.restrict(V.values)
     rng = np.random.RandomState(1)
     worst = 0.0
     for _ in range(10):
-        a, b = rng.randn(op.n), rng.randn(op.n)
-        lhs = float(op.matvec(a) @ b)
-        rhs = float(a @ op.matvec(b))
+        a, b = rng.randn(kv.size), rng.randn(kv.size)
+        lhs = float(g.matvec(a, kv) @ b)
+        rhs = float(a @ g.matvec(b, kv))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
     assert worst <= 1e-10
 
@@ -122,7 +126,8 @@ def test_action_on_angular_constant_matches_1d():
     g = build_grid(8.0, 120, 16, params)
     gfun = np.sin(np.pi * (g.s + g.L) / (2 * g.L))
     u = Field(g, np.repeat(gfun[:, None], g.n_phi, axis=1))
-    act = g.action(u.values).reshape(g.n_s - 2, g.n_phi - 2)
+    # M^-1 K u = M^-1/2 B M^1/2 u on the dofs
+    act = (g.matvec(scaled(u), 0.0) / np.sqrt(g.m)).reshape(g.n_s - 2, g.n_phi - 2)
     # interior rows act exactly as the 1D second difference
     one_d = (-gfun[2:] + 2 * gfun[1:-1] - gfun[:-2]) / (g.s[1] - g.s[0]) ** 2
     for j in range(g.n_phi - 2):
@@ -215,19 +220,35 @@ def test_band_storage_is_exact(n_s, n_phi, folded):
     ref = polarized_B(g)
     assert np.abs(B - ref).max() <= 1e-12 * np.abs(ref).max()
     kappa, V, _ = soliton_problem(g, 2.0)
-    op = CylinderOperator(kappa, V, g)
-    shift = np.linalg.eigvalsh(B - np.diag(op.kv))[0] - 1.0
-    A = B - np.diag(op.kv + shift)
-    upper = sp.dia_matrix((op.band(shift), np.arange(w, -1, -1)), shape=A.shape).toarray()
+    kv = kappa * g.restrict(V.values)
+    shift = np.linalg.eigvalsh(B - np.diag(kv))[0] - 1.0
+    A = B - np.diag(kv + shift)
+    upper = sp.dia_matrix((g.band(kv + shift), np.arange(w, -1, -1)), shape=A.shape).toarray()
     np.testing.assert_array_equal(upper, np.triu(A))
-    y = np.random.RandomState(4).randn(op.n)
-    np.testing.assert_allclose(op.matvec(y), (B - np.diag(op.kv)) @ y,
+    y = np.random.RandomState(4).randn(kv.size)
+    np.testing.assert_allclose(g.matvec(y, kv), (B - np.diag(kv)) @ y,
                                rtol=0, atol=1e-12 * np.abs(B).max())
-    factor = SolverCache().preconditioner(op, shift + SHIFT_GAP, 0.0).__self__
+    factor = SolverCache().preconditioner(g, kappa, kv, shift + SHIFT_GAP, 0.0).__self__
     U = sp.dia_matrix((factor.cb, np.arange(w, -1, -1)), shape=A.shape)
     assert factor.U.nnz == factor.L.nnz == U.nnz
     U = U.toarray()
     assert np.abs(U.T @ U - A).max() <= 1e-12 * np.abs(A).max()
+
+
+@pytest.mark.parametrize("n_s, folded", [(16, False), (33, True)], ids=["16-8", "33-8-even"])
+def test_eqmu_residual_matches_the_energy_polarized_operator(n_s, folded):
+    # -Laplace u + mu u - u^(p-1) with -Laplace the dense operator the
+    # energy alone defines, on a field zero on the first and last rows
+    g = build_grid(8.0, n_s, 8, ProblemParams(D, P, 1.0, "surface"))
+    v = np.random.default_rng(n_s).random(g.shape)
+    v = v + v[::-1]
+    v[[0, -1]] = 0.0
+    u, mu = Field(g, v), 1.3
+    if folded:
+        g, u = g.even, g.fold(u)
+    x, sq = g.restrict(u.values), np.sqrt(g.m)
+    r = polarized_B(g) @ (sq * x) / sq + mu * x - x ** (P - 1.0)
+    assert eqmu_residual(u, mu) == pytest.approx(np.sqrt(np.sum(g.m * r**2)), rel=1e-12)
 
 
 @pytest.mark.parametrize("n_s", [48, 49])
@@ -237,15 +258,15 @@ def test_band_rayleigh_quotients_are_the_full_grid_s_on_even_fields(n_s):
     params = ProblemParams(D, P, 1.0, "surface")
     g = build_grid(8.0, n_s, 10, params)
     kappa, V, _ = soliton_problem(g, 2.0)
-    full, half = CylinderOperator(kappa, V, g), CylinderOperator(kappa, g.fold(V), g.even)
     rng = np.random.default_rng(n_s)
     for _ in range(3):
         v = rng.random(g.shape)
         u = Field(g, g.embed(g.restrict(v + v[::-1])))
         quotients = []
-        for op, w in ((full, u), (half, g.fold(u))):
-            y = op.from_field(w)
-            quotients.append((y @ op.matvec(y)) / (y @ y))
+        for pot, w in ((V, u), (g.fold(V), g.fold(u))):
+            y = scaled(w)
+            quotients.append((y @ w.grid.matvec(y, kappa * w.grid.restrict(pot.values)))
+                             / (y @ y))
         assert quotients[1] == pytest.approx(quotients[0], rel=1e-13)
     a, b = lowest_eigenpair(kappa, V, g), lowest_eigenpair(kappa, g.fold(V), g.even)
     assert b.lam == pytest.approx(a.lam, rel=1e-12)
@@ -258,11 +279,11 @@ def test_factor_is_positive_exactly_below_lowest_eigenvalue():
     params = ProblemParams(D, P, 1.0, "surface")
     g = build_grid(8.0, 48, 10, params)
     kappa, V, _ = soliton_problem(g, 2.0)
-    op = CylinderOperator(kappa, V, g)
-    lams = np.linalg.eigvalsh(dense_B(g) - np.diag(op.kv))
+    kv = kappa * g.restrict(V.values)
+    lams = np.linalg.eigvalsh(dense_B(g) - np.diag(kv))
     for k in range(4):
-        assert _BandCholesky(op.band(lams[k] + 1e-3)).info > 0
-    assert _BandCholesky(op.band(lams[0] - 1e-3)).info == 0
+        assert _BandCholesky(g.band(kv + (lams[k] + 1e-3))).info > 0
+    assert _BandCholesky(g.band(kv + (lams[0] - 1e-3))).info == 0
 
 
 @pytest.mark.parametrize("built", [False, True])
@@ -274,10 +295,10 @@ def test_indefinite_shift_refactors_once(monkeypatch, built):
     g = build_grid(8.0, 48, 10, params)
     kappa, V, _ = soliton_problem(g, 2.0)
     lam1 = lowest_eigenpair(kappa, V, g).lam
-    op = CylinderOperator(kappa, V, g)
+    kv = kappa * g.restrict(V.values)
     cache = SolverCache()
     if built:
-        cache.preconditioner(op, lam1 - 1.0 + SHIFT_GAP, 0.0)
+        cache.preconditioner(g, kappa, kv, lam1 - 1.0 + SHIFT_GAP, 0.0)
     calls = []
     real = eigensolver.dpbtrf
 
@@ -286,7 +307,7 @@ def test_indefinite_shift_refactors_once(monkeypatch, built):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(eigensolver, "dpbtrf", counting)
-    solve = cache.preconditioner(op, lam1 + 0.5 + SHIFT_GAP, 0.0)
+    solve = cache.preconditioner(g, kappa, kv, lam1 + 0.5 + SHIFT_GAP, 0.0)
     assert len(calls) == (0 if built else 2)
     assert solve.__self__.info == 0
     assert cache.factorizations == (1 if built else 2)
@@ -301,16 +322,16 @@ def test_converges_from_start_near_tolerance(grid400, cache):
     tol = 1e-9
     kappa, V, _ = soliton_problem(g, mu_FS(P, D))
     exact = lowest_eigenpair(kappa, V, g, tol=1e-10, cache=cache)
-    op = CylinderOperator(kappa, V, g)
+    kv = kappa * g.restrict(V.values)
     noise = np.random.RandomState(3).randn(*g.shape)
 
     def start(eps):
         return Field(g, exact.u.values + eps * noise)
 
     def residual(eps):
-        y = op.from_field(start(eps))
+        y = scaled(start(eps))
         y /= np.linalg.norm(y)
-        Ay = op.matvec(y)
+        Ay = g.matvec(y, kv)
         return float(np.linalg.norm(Ay - (y @ Ay) * y))
 
     eps = 1e-6 * 3.0 * tol / residual(1e-6)

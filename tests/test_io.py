@@ -576,6 +576,34 @@ def test_cli_branch_rejects_an_unresolved_grid(tmp_path, capsys, monkeypatch):
     assert not (out / "branch.csv").exists()
 
 
+def test_cli_default_thetas_are_the_admissible_ones(tmp_path, capsys, monkeypatch):
+    # Theta(3.0, 5) = 0.833: a run at p = 3.0 that names no theta takes the
+    # default thetas from 0.85 up, whether p comes from a flag or from the
+    # config file, and its manifest records them; a theta below Theta(p)
+    # that the run names is still a config error
+    assert RunConfig().theta_list == [0.72, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]
+    tags = ["0.850000", "0.900000", "0.950000", "1.000000"]
+    for name, data, flags in [("flag", {}, ["--p", "3.0"]), ("file", {"p": 3.0}, [])]:
+        cfg, out = tmp_path / f"{name}.json", tmp_path / name
+        cfg.write_text(json.dumps({**data, "out": str(out)}))
+        assert cli.main(["gn-limit", "--config", str(cfg), *flags]) == 0
+        assert cli.main(["symmetric-curve", "--config", str(cfg), *flags]) == 0
+        assert sorted(f.name for f in out.glob("sym_curve_*")) == [
+            f"sym_curve_{t}.csv" for t in tags]
+    # on 17x10 the branch stops before any solve, and its manifest is written
+    solves = []
+    monkeypatch.setattr(continuation, "roothan_solve", lambda *a, **kw: solves.append(a))
+    cfg, out = tmp_path / "unresolved.json", tmp_path / "unresolved"
+    cfg.write_text(json.dumps({"L": 8.0, "n_s": 17, "n_phi": 10, "eta": 0.7, "out": str(out)}))
+    assert cli.main(["branch", "--config", str(cfg), "--p", "3.0"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["theta_list"] == [0.85, 0.9, 0.95, 1.0] and solves == []
+    out = tmp_path / "explicit"
+    assert cli.main(["branch", "--p", "3.0", "--theta", "0.72", "--out", str(out)]) == 2
+    assert "theta must lie in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_analyze_names_why_the_branch_stopped(tmp_path, capsys):
     # after a branch run that wrote no branch.csv, analyze reports the
     # manifest's reason, not only the missing file
