@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--nphi", dest="n_phi", type=int)
         sp.add_argument("--measure-mode", dest="measure_mode",
                         choices=("probability", "surface"))
-        sp.add_argument("--eta", type=float)
+        sp.add_argument("--eta", type=float, help="each walk's first step and guard unit")
         sp.add_argument("--kappa-stop", dest="kappa_stop", type=float)
         sp.add_argument("--out", type=str)
     return parser

@@ -2,11 +2,12 @@
 
 Above the stability threshold the symmetric soliton is a saddle of the
 theta = 1 quotient.  `initialize` moves it along the closed-form
-transverse mode to the minimum of the quotient on that ray and solves the
-fixed point from there at the soliton's own closed-form level.
-`continue_branch` then steps kappa in either direction, reusing the
-previous potential and eigenfunction, halving the step on failures; the
-down walk ends on the exact discrete symmetric point past the bifurcation.
+transverse mode past the minimum of the quotient on that ray and solves
+the fixed point from there at the soliton's own closed-form level.
+`continue_branch` then steps kappa either way, reusing the previous
+potential and eigenfunction, each step sized from the field change of the
+last; the down walk ends on the exact discrete symmetric point past the
+bifurcation.
 `compute_branch` is the whole sequence: the start at MU0_FACTOR mu_FS,
 the walk down, the walk up, and the two joined by kappa.
 
@@ -42,8 +43,6 @@ from .symmetric import critical_value_sym, discrete_soliton, mu_FS, soliton, tra
 ASYMMETRY_SYMMETRIC = 1e-4
 ASYMMETRY_BIFURCATED = 1e-3
 MAX_POINTS = 2000
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-RAY_WIDTH = 1e-4
 RAY_MAX_DOUBLINGS = 60
 # the branch starts at the level of the soliton mu0 = MU0_FACTOR mu_FS
 MU0_FACTOR = 1.2
@@ -124,35 +123,21 @@ def _branch_point(fp: FixedPointResult, grid: CylinderGrid, store: FieldStore) -
 
 
 def _ray_minimum(f, eps: float) -> float:
-    """A local minimizer of f on a > 0, to within RAY_WIDTH / 2.
-
-    The bracket opens at eps and 2 eps and doubles while f still falls,
-    which leaves lo < mid < hi with f(mid) < f(hi); a golden section then
-    shrinks [lo, hi] to RAY_WIDTH and returns its midpoint.  Raises
+    """The far end hi of a doubling bracket of a local minimizer of f on
+    a > 0: the first of 2 eps, 4 eps, ... with f(hi) >= f(hi / 2), so a
+    minimizer lies in (hi / 4, hi), or in (0, hi) when hi = 2 eps.  Raises
     NonConvergenceError if f still falls after RAY_MAX_DOUBLINGS doublings.
     """
-    lo, mid, hi = 0.0, eps, 2.0 * eps
-    f_mid, f_hi = f(mid), f(hi)
+    hi, f_mid, f_hi = 2.0 * eps, f(eps), f(2.0 * eps)
     doublings = 0
     while f_hi < f_mid:
         if doublings == RAY_MAX_DOUBLINGS:
             raise NonConvergenceError(f"ray quotient still falls after {doublings} "
                                       f"doublings: E({hi:.6g}) = {f_hi:.10g}")
-        lo, mid, hi = mid, hi, 2.0 * hi
+        hi *= 2.0
         f_mid, f_hi = f_hi, f(hi)
         doublings += 1
-    c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-    f_c, f_d = f(c), f(d)
-    while hi - lo > RAY_WIDTH:
-        if f_c < f_d:
-            hi, d, f_d = d, c, f_c
-            c = hi - GOLDEN * (hi - lo)
-            f_c = f(c)
-        else:
-            lo, c, f_c = c, d, f_d
-            d = lo + GOLDEN * (hi - lo)
-            f_d = f(d)
-    return 0.5 * (lo + hi)
+    return hi
 
 
 def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams,
@@ -163,18 +148,18 @@ def initialize(mu0: float, eps: float, grid: CylinderGrid, params: ProblemParams
 
     The seed is |u_sym + a* w| on the ray from the sampled soliton u_sym
     along the transverse mode w (scaled to the norm of u_sym), with a* > 0
-    the golden-section minimum of the theta = 1 quotient at mu0 along the
-    ray (the quotient is even in a: a -> -a reflects phi); eps (> 0) is
-    the first probe of the bracket search for a*.  One fixed-point solve
-    at the closed-form level kappa0 = critical_value_sym(mu0) turns the
-    seed into the start point, so the start depends on mu0 and the grid
-    alone.  Returns the converged point, checkpointed on `grid`, and the
-    fixed-point result behind it, solved on `grid.even` and mirrored onto
-    `grid`.  `tol` and `eigen_tol` go to that solve, as in
-    `roothan_solve`.  Raises NonConvergenceError when that solve does not
-    converge or ends at mu <= 0, and SymmetricFallbackError when it
-    returns to the symmetric solution, which happens whenever
-    mu0 <= mu_FS.
+    the far end of the doubling bracket (`_ray_minimum`) of the minimum of
+    the theta = 1 quotient at mu0 along the ray (the quotient is even in
+    a: a -> -a reflects phi); eps (> 0) is the bracket's first probe.
+    One fixed-point solve at the closed-form level kappa0 =
+    critical_value_sym(mu0) turns the seed into the start point, so the
+    start depends on mu0 and the grid alone.  Returns the converged point,
+    checkpointed on `grid`, and the fixed-point result behind it, solved
+    on `grid.even` and mirrored onto `grid`.  `tol` and `eigen_tol` go to
+    that solve, as in `roothan_solve`.  Raises NonConvergenceError when
+    that solve does not converge or ends at mu <= 0, and
+    SymmetricFallbackError when it returns to the symmetric solution,
+    which happens whenever mu0 <= mu_FS.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -234,14 +219,17 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     the grid functional at kappa_FS - eta/2, built as the symmetric
     reference builds its points (`_symmetric_points`), unless that level
     is not positive; it is the one point of a walk not computed by the
-    fixed point.  "up" walks until kappa_stop.  eta halves
-    on a failed step (no convergence, mu <= 0, any CknError from the
-    solver, or a jump past the continuity guard) and recovers afterwards;
-    each halving appends {"kappa", "reason"} (plus "du" and "bound" for
-    the guard) to provenance["halving_reasons"].  Below eta/64, once it
-    holds MAX_POINTS points, or when the down walk's end point fails, the
-    walk raises StepFailureError, whose `branch` holds the points
-    collected so far.
+    fixed point.  "up" walks until kappa_stop.  eta is the first step and
+    the unit of the continuity guard du <= bound = 5 eta / kappa + 1e-8,
+    du the change of the normalized field; each accepted step sets the
+    next to min(2 step, 0.9 bound / (slope trend)), slope = du / step and
+    trend = max(1, slope / the last slope).  A failed step (no convergence,
+    mu <= 0, any CknError from the solver, or a jump past the guard)
+    halves; each halving appends {"kappa", "reason"} (plus "du" and
+    "bound" for the guard, and the returned solve's "lu_solves") to
+    provenance["halving_reasons"].  Below eta/64, once it holds MAX_POINTS
+    points, or when the down walk's end point fails, the walk raises
+    StepFailureError, whose `branch` holds the points collected so far.
     provenance["computed_points"] counts the start and the fixed-point
     points.
     """
@@ -262,9 +250,9 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
     points = [start]
     reasons: list[dict] = []
     kappa = start.kappa
-    eta_cur = eta
+    step = eta
     V_prev = u_prev = None
-    kappa_prev = None
+    kappa_prev = slope_prev = None
     end = stopped = None
     while len(points) < MAX_POINTS:
         if direction == "down" and kappa - kappa_fs < 1.5 * eta:
@@ -277,7 +265,7 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
                 except CknError as exc:
                     stopped = f"the down walk's end point failed: {exc}"
             break
-        kappa_next = kappa + sign * eta_cur
+        kappa_next = kappa + sign * step
         if direction == "up" and kappa_next > kappa_stop:
             break
 
@@ -290,23 +278,25 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
         try:
             fp = roothan_solve(kappa_next, V0, half, params, warm_start=u0,
                                cache=cache, tol=tol, eigen_tol=eigen_tol)
+        except CknError as exc:
+            failure = {"reason": type(exc).__name__}
+        else:
+            # continuity guard against the nominal step eta: halving the
+            # actual step shrinks du until the bound is met
+            du = math.sqrt(Field(half, fp.u.values - u_warm.values).norm_sq())
+            bound = 5.0 * eta / max(kappa_next, 1e-12) + 1e-8
             if not fp.converged:
                 failure = {"reason": "not converged"}
             elif fp.mu <= 0:
                 failure = {"reason": "mu <= 0"}
-        except CknError as exc:
-            failure = {"reason": type(exc).__name__}
-        if failure is None:
-            # continuity guard against the nominal step: halving the actual
-            # step shrinks du until the bound is met
-            du = math.sqrt(Field(half, fp.u.values - u_warm.values).norm_sq())
-            bound = 5.0 * eta / max(kappa_next, 1e-12) + 1e-8
-            if du > bound:
+            elif du > bound:
                 failure = {"reason": "continuity guard", "du": du, "bound": bound}
+            if failure is not None:
+                failure["lu_solves"] = fp.lu_solves
         if failure is not None:
             reasons.append({"kappa": kappa_next, **failure})
-            eta_cur *= 0.5
-            if eta_cur < eta_min:
+            step *= 0.5
+            if step < eta_min:
                 stopped = (f"continuation stalled at kappa = {kappa:.6g} "
                            f"(step fell below {eta_min:.3g})")
                 break
@@ -315,7 +305,12 @@ def continue_branch(start: BranchPoint, eta: float, direction: str, kappa_stop: 
         kappa_prev, kappa = kappa, kappa_next
         V_prev, V = V, self_potential(fp.u)
         u_prev, u_warm = u_warm, fp.u
-        eta_cur = min(eta, eta_cur * 2.0)
+        # trend anticipates the steepening toward the pitchfork, where
+        # du/dkappa grows like (kappa - kappa_FS)^(-1/2)
+        slope = du / step
+        trend = 1.0 if slope_prev is None else max(1.0, slope / slope_prev)
+        step = min(2.0 * step, 0.9 * bound / (slope * trend))
+        slope_prev = slope
         if direction == "down":
             pt = points[-1]
             if pt.asymmetry < ASYMMETRY_SYMMETRIC or pt.mu <= mu_fs:
@@ -345,14 +340,16 @@ def compute_branch(grid: CylinderGrid, params: ProblemParams, store: FieldStore,
                    kappa_stop: float | None = None, cache: SolverCache | None = None,
                    tol: float = 1e-10, eigen_tol: float = 1e-9) -> Branch:
     """The branch: `initialize` at mu0 = MU0_FACTOR mu_FS, `continue_branch`
-    down at step `eta` (default kappa0 / 200, kappa0 the start's level) and
-    up at `eta_up` (default `eta`) to `kappa_stop` (default 2 kappa0), the
-    walks joined by kappa.  `provenance` holds the `timings`, `convergence`
-    and `provenance` blocks of manifest.json.  A stalled walk raises
-    StepFailureError whose `branch` holds every point so far; after a
-    stalled down walk the up walk does not run.  Raises ConfigError before
-    any solve when the soliton's width 2 / ((p - 2) sqrt(mu0)) spans fewer
-    than MIN_CELLS_PER_WIDTH cells of h_s, the largest step of grid.s.
+    down with first step and guard unit `eta` (default kappa0 / 200, kappa0
+    the start's level) and up with `eta_up` (default `eta`) to `kappa_stop`
+    (default 2 kappa0), the walks joined by kappa; the step controller of
+    `continue_branch` sets each walk's later steps.  `provenance` holds
+    the `timings`, `convergence` and `provenance` blocks of manifest.json.
+    A stalled walk raises StepFailureError whose `branch` holds every
+    point so far; after a stalled down walk the up walk does not run.
+    Raises ConfigError before any solve when the soliton's width
+    2 / ((p - 2) sqrt(mu0)) spans fewer than MIN_CELLS_PER_WIDTH cells of
+    h_s, the largest step of grid.s.
     """
     mu0 = MU0_FACTOR * mu_FS(params.p, params.d)
     h_s = float(np.max(np.diff(grid.s)))
@@ -395,8 +392,8 @@ def compute_branch(grid: CylinderGrid, params: ProblemParams, store: FieldStore,
             "factorizations": cache.factorizations, "kappa_range": [min(points), max(points)],
         },
         "provenance": {"mu0": mu0, "eps": SEED_EPS, "seed_direction": (
-            "golden-section minimum of the theta = 1 quotient on the ray from u_sym along "
-            "the transverse mode u_sym(s)^(p/2) cos(phi), solved at kappa_sym(mu0)")},
+            "end of the doubling bracket of the theta = 1 quotient's minimum on the ray from "
+            "u_sym along the transverse mode u_sym(s)^(p/2) cos(phi), solved at kappa_sym(mu0)")},
     })
     if stopped is not None:
         raise StepFailureError(str(stopped), branch)

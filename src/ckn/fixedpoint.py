@@ -17,7 +17,8 @@ step has too); otherwise the history is dropped and the plain step is
 taken from the same warm start.  Rejected candidates never enter
 `lambda_history`, and a rising plain step raises MonotonicityError.  The
 inner eigensolves run at max(eigen_tol, min(INEXACT_CAP, INEXACT_FACTOR *
-gap)), gap being the previous self-consistency gap, and convergence is
+gap)), gap being the previous self-consistency gap; the cap only keeps
+the first solve's tolerance (gap = inf) finite.  Convergence is
 declared at the first iterate whose eigensolve residual is within
 eigen_tol, whatever tolerance that solve was asked for.  Monotonicity survives
 the inexact solves because R(u; self_potential(u)) <= R(u; V) holds for
@@ -39,7 +40,7 @@ MONOTONE_SLACK = 1e-12
 SELF_CONSISTENCY_TOL = 1e-8
 ANDERSON_DEPTH = 5
 INEXACT_FACTOR = 0.1
-INEXACT_CAP = 1e-4
+INEXACT_CAP = 1e-2
 # Gram eigenvalues below this share of the largest mark dependent secants
 GRAM_RTOL = 1e-13
 

@@ -142,7 +142,7 @@ class RunConfig:
     L: float | None = None
     n_s: int = 400
     n_phi: int = 48
-    eta: float | None = None
+    eta: float | None = None  # each walk's first step and guard unit; None: kappa0 / 200
     kappa_stop: float | None = None
     tol: float = 1e-10
     eigen_tol: float = 1e-9

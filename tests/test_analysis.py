@@ -335,6 +335,8 @@ def test_crossing_on_tier1_grid(run_p278):
     theta = 5.0 / 7.0
     crossing = detect_crossing(map_to_theta(run_p278["sym_branch"], theta),
                                map_to_theta(run_p278["branch"], theta))
-    assert crossing.Lambda1 == pytest.approx(2.8618806443, rel=1e-8)
-    assert crossing.mu1_star == pytest.approx(4.2867295, rel=1e-5)
-    assert crossing.mu1 == pytest.approx(5.0732135, rel=1e-5)
+    assert crossing.Lambda1 == pytest.approx(2.8618790057, rel=1e-8)
+    # the walk at a fixed step eta = kappa0 / 200 (down) and 8 eta (up) gave 2.8618806
+    assert crossing.Lambda1 == pytest.approx(2.8618806, rel=1e-5)
+    assert crossing.mu1_star == pytest.approx(4.2867271, rel=1e-5)
+    assert crossing.mu1 == pytest.approx(5.0725303, rel=1e-5)

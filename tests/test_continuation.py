@@ -130,9 +130,17 @@ def test_initialize_start_is_set_by_mu0_and_grid(coarse, tmp_path_factory):
 
 
 def test_ray_minimum_on_a_parabola():
-    # bracketed by doubling from eps below the minimum, and from an eps past it
+    # the far end of the doubling bracket: the first eps 2^k at which f
+    # rises, so the minimizer lies in (hi / 4, hi), or in (0, hi) when f
+    # rises from eps on
+    def f(a):
+        return (a - 0.33) ** 2
+
+    assert _ray_minimum(f, 0.05) == 0.8  # f falls at 0.1, 0.2 and 0.4
+    assert _ray_minimum(f, 1.0) == 2.0
     for eps in (0.05, 1.0):
-        assert _ray_minimum(lambda a: (a - 0.3) ** 2, eps) == pytest.approx(0.3, abs=5e-5)
+        hi = _ray_minimum(f, eps)
+        assert f(hi / 2) < f(hi)
 
 
 def test_ray_minimum_raises_on_a_falling_quotient():
@@ -147,22 +155,25 @@ def test_ray_minimum_raises_on_a_falling_quotient():
     assert len(calls) == continuation.RAY_MAX_DOUBLINGS + 2
 
 
-def test_initialize_start_sits_at_the_ray_minimum(coarse, tmp_path_factory, monkeypatch):
+def test_initialize_seed_is_the_ray_bracket_end(coarse, tmp_path_factory, monkeypatch):
+    # the seed's amplitude is the end of the bracket: the quotient falls
+    # from eps up to half of it and rises from there
     g, params, cache = coarse
     found = []
 
     def recording(f, eps):
         a = _ray_minimum(f, eps)
-        found.append((f, a))
+        found.append((f, eps, a))
         return a
 
     monkeypatch.setattr(continuation, "_ray_minimum", recording)
     store = FieldStore(tmp_path_factory.mktemp("ray"))
     initialize(1.2 * mu_FS(P, D), 0.05, g, params, store, cache)
-    ((quotient, a),) = found
-    assert a > 0
-    assert quotient(a) <= quotient(a - 1e-3)
-    assert quotient(a) <= quotient(a + 1e-3)
+    ((quotient, eps, a),) = found
+    k = round(np.log2(a / eps))
+    assert k >= 1 and a == eps * 2.0**k
+    probes = [quotient(eps * 2.0**j) for j in range(k + 1)]
+    assert np.all(np.diff(probes)[:-1] < 0) and probes[-1] >= probes[-2]
 
 
 def test_branch_kappa_monotone(mini_branch):
@@ -247,16 +258,62 @@ def test_down_walk_keeps_its_points_when_the_end_point_fails(mini_branch, coarse
     assert branch.provenance["computed_points"] == len(computed) > 1
 
 
+def test_up_walk_grows_its_steps_within_the_guard(mini_branch, coarse):
+    # from a small eta the first step is eta and the step controller then
+    # takes longer ones, each changing the normalized field by at most the
+    # continuity guard's bound 5 eta / kappa + 1e-8, so no step is halved
+    store, start, _, _ = mini_branch
+    g, params, cache = coarse
+    eta = start.kappa / 200
+    up = continue_branch(start, eta, "up", 1.1 * start.kappa, g, params, store, cache=cache)
+    assert up.provenance["halvings"] == 0
+    kappas = up.column("kappa")
+    steps = np.diff(kappas)
+    assert steps[0] == pytest.approx(eta, rel=1e-12)
+    assert np.all(steps[1:] > 1.5 * eta)
+    assert len(steps) < 20 * 2 / 3  # 20 steps at a fixed eta
+    # the fields as the walk holds them: folded and normalized
+    u = [g.fold(store.load(pt.checkpoint, g)) for pt in up.points]
+    u = [v.values / np.sqrt(v.norm_sq()) for v in u]
+    for a, b, kappa in zip(u, u[1:], kappas[1:]):
+        assert np.sqrt(g.even.integrate((b - a) ** 2)) <= 5.0 * eta / kappa + 1e-8
+
+
+def test_down_walk_steps_shrink_onto_its_discrete_end_point(mini_branch, coarse):
+    # ahead of the pitchfork the controller shortens each step, so a walk
+    # from a small eta enters the end rule's window (1.5 eta above kappa_FS)
+    # with no halving and no fixed-point point past kappa_FS, and ends on
+    # the discrete symmetric point at kappa_FS - eta/2
+    store, start, _, _ = mini_branch
+    g, params, cache = coarse
+    kfs = critical_value_sym(mu_FS(P, D), params)
+    eta = start.kappa / 200
+    down = continue_branch(start, eta, "down", 0.0, g, params, store, cache=cache)
+    assert down.provenance["halvings"] == 0
+    end, lowest = down.points[:2]
+    assert end.kappa == kfs - 0.5 * eta and end.asymmetry == 0.0 and np.isnan(end.gap)
+    assert 0.0 < lowest.kappa - kfs < 1.5 * eta and lowest.asymmetry > 1e-3
+    steps = np.diff(down.column("kappa")[1:])[::-1]  # in walk order
+    assert steps[0] == pytest.approx(eta, rel=1e-12) and steps[1] > eta
+    assert np.all(np.diff(steps[1:]) < 0) and steps[-1] < 0.75 * eta
+
+
 def test_walk_restarts_from_any_stored_point(mini_branch, coarse, tmp_path, monkeypatch):
     # a walk reads its start from the checkpoint alone, so one started in the
-    # middle of the up walk continues it: same kappas, same points
+    # middle of the up walk, with the step the walk took from there as its
+    # first, continues it: same kappas, same points.  Up the branch du/dkappa
+    # falls, so the step controller's trend term is 1 in both walks and
+    # each later step agrees too, to the roundoff of du
     store, start, _, up = mini_branch
     g, params, cache = coarse
     eta, stop = up.provenance["eta"], up.provenance["kappa_stop"]
     k = len(up.points) // 2
     assert 0 < k < len(up.points) - 1
-    again = continue_branch(up.points[k], eta, "up", stop, g, params, store, cache=cache)
-    assert again.column("kappa").tolist() == up.column("kappa")[k:].tolist()
+    kappas = up.column("kappa")
+    again = continue_branch(up.points[k], kappas[k + 1] - kappas[k], "up", stop, g, params,
+                            store, cache=cache)
+    assert again.column("kappa")[:2].tolist() == kappas[k:k + 2].tolist()
+    np.testing.assert_allclose(again.column("kappa"), kappas[k:], rtol=1e-9, atol=0)
     for name, rtol in (("mu", 1e-12), ("t", 1e-7), ("asymmetry", 1e-7)):
         np.testing.assert_allclose(again.column(name), up.column(name)[k:], rtol=rtol, atol=0)
     # a store without the start's checkpoint stops the walk before any solve
@@ -309,13 +366,16 @@ def test_compute_branch_is_the_start_and_both_walks_joined(mini_branch, coarse, 
 
 
 def test_compute_branch_defaults(coarse, tmp_path):
-    # eta is kappa0 / 200 and the up walk ends within one step below 2 kappa0;
-    # the up walk takes 25 eta, so it needs 8 steps instead of 200
+    # eta is kappa0 / 200 and the up walk ends within one step below 2 kappa0:
+    # the step it did not take, at most twice its last one.  The up walk
+    # opens at 25 eta, so it needs fewer than the 8 steps of a fixed 25 eta
     g, params, _ = coarse
     kappa0 = critical_value_sym(continuation.MU0_FACTOR * mu_FS(P, D), params)
     branch = compute_branch(g, params, FieldStore(tmp_path), eta_up=kappa0 / 8)
     assert branch.provenance["convergence"]["eta"] == kappa0 / 200
-    assert 2.0 * kappa0 - kappa0 / 8 < branch.points[-1].kappa <= 2.0 * kappa0
+    below, top = branch.column("kappa")[-2:]
+    assert 2.0 * kappa0 - 2.0 * (top - below) < top <= 2.0 * kappa0
+    assert branch.provenance["convergence"]["points_up"] < 9
 
 
 def test_compute_branch_keeps_the_down_walk_when_its_end_point_fails(mini_branch, coarse,

@@ -363,7 +363,7 @@ def test_cli_branch_outputs(cli_branch_run):
     phases = [timings[f"{phase}_seconds"] for phase in ("initialize", "down", "up")]
     assert all(t > 0 for t in phases)
     assert sum(phases) <= timings["branch_seconds"]
-    assert "golden-section" in manifest["provenance"]["seed_direction"]
+    assert "doubling bracket" in manifest["provenance"]["seed_direction"]
     assert manifest["openblas_num_threads"] == ckn.BLAS_THREADS
     # checkpoints referenced by the CSV exist on disk
     refs = [r[header.index("checkpoint")] for r in rows]
@@ -395,10 +395,15 @@ def test_cli_branch_certificates(cli_branch_run):
         assert row[i_gap] <= SELF_CONSISTENCY_TOL
         assert row[i_it] == int(row[i_it]) and 1 <= row[i_it] <= row[i_eig]
         assert row[i_lu] == int(row[i_lu]) and row[i_lu] >= 1
-    # this run halves no step, so every solve belongs to some row
+    # every solve belongs to some row or to a rejected step; this run
+    # halves one step, at the continuity guard, and its reason counts the
+    # rejected solve's Cholesky solves
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["convergence"]["eta_halvings"] == 0
-    assert sum(row[i_lu] for row in computed) == lu_solves
+    reasons = manifest["convergence"]["halving_reasons"]
+    assert [r["reason"] for r in reasons] == ["continuity guard"]
+    rejected = sum(r["lu_solves"] for r in reasons)
+    assert rejected >= 1
+    assert sum(row[i_lu] for row in computed) + rejected == lu_solves
     # the manifest reports the factorizations the run made
     assert manifest["convergence"]["factorizations"] == factorizations >= 1
     for row in rows:
