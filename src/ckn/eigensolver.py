@@ -32,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NonConvergenceError, NormalizationError, PositivityError
-from .lapack import dpbtrf, dpbtrs
+from .lapack import dpbtrf, dpbtrs, dsyev
 from .model import CylinderGrid, Field
 
 SHIFT_GAP = 0.05
@@ -184,7 +184,7 @@ def lowest_eigenpair(kappa: float, V: Field, grid: CylinderGrid, tol: float = 1e
                 AQ[:, k] = grid.matvec(Q[:, k], kv)
                 k += 1
         H = Q[:, :k].T @ AQ[:, :k]
-        _, C = np.linalg.eigh(0.5 * (H + H.T))
+        _, C, _ = dsyev(0.5 * (H + H.T))
         c = C[:, 0]
         p = Q[:, 1:k] @ c[1:]
         y = Q[:, :k] @ c

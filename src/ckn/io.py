@@ -27,6 +27,7 @@ import math
 import numbers
 import os
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
+from .lapack import scipy_module
 from .model import MIN_N_PHI, MIN_N_S, CylinderGrid, Field, ProblemParams, theta_critical
 
 MAGIC = b"CKNFLD01"
@@ -179,9 +181,6 @@ class RunConfig:
             return self.L
         return max(8.0, 12.0 / np.sqrt(mu_min))
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str, **overrides) -> "RunConfig":
         """The config of the JSON object `text`, its fields replaced by `overrides`."""
@@ -250,11 +249,13 @@ def config_echo(config: RunConfig) -> list[str]:
 
 @functools.cache
 def _scipy_version() -> str:
-    # from the installed package's metadata: importing scipy would cost
-    # every ckn process its package init
-    import importlib.metadata
-
-    return importlib.metadata.version("scipy")
+    """`version` of scipy/version.py beside the installed package, or the
+    package's own where ckn.lapack's fallback imported scipy.  Importing
+    scipy would cost every ckn process its package init, and
+    importlib.metadata 37 stdlib modules."""
+    if "scipy" in sys.modules:
+        return sys.modules["scipy"].__version__
+    return scipy_module("version").version
 
 
 def write_manifest(path, config: RunConfig, extra: dict) -> None:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lapack import ddot
-
 MEASURE_MODES = ("probability", "surface")
 MIN_N_S = 16
 MIN_N_PHI = 8
@@ -280,10 +278,11 @@ class Field:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-        # a finite sum of squares (BLAS: no overflow warning) proves every
-        # value finite; otherwise the elementwise test decides
+        # a finite sum of squares proves every value finite (np.vdot, unlike
+        # np.dot and @, warns of no overflow); otherwise the elementwise
+        # test decides
         v = self.values.ravel()
-        if not (math.isfinite(ddot(v, v)) or np.all(np.isfinite(v))):
+        if not (math.isfinite(np.vdot(v, v)) or np.all(np.isfinite(v))):
             raise ValueError("field contains non-finite values")
 
     def norm_sq(self) -> float:

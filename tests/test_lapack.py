@@ -1,4 +1,4 @@
-"""ckn.lapack: scipy.linalg's LAPACK and BLAS routines without the scipy package.
+"""ckn.lapack: scipy.linalg's LAPACK routines without the scipy package.
 
 Each test runs in a fresh interpreter, so no other test's imports count.
 """
@@ -21,14 +21,14 @@ def _fresh(code: str) -> str:
     return proc.stdout.strip()
 
 
-def test_cli_import_loads_only_the_two_scipy_extension_modules():
+def test_cli_import_loads_only_the_one_scipy_extension_module():
     out = _fresh("import sys, ckn.cli; ckn.cli.build_parser()\n"
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
                  "print([m for m in ('numpy.f2py', 'numpy.testing') if m in sys.modules])")
-    assert out.splitlines() == ["['scipy.linalg._fblas', 'scipy.linalg._flapack']", "[]"]
+    assert out.splitlines() == ["['scipy.linalg._flapack']", "[]"]
 
 
-def test_factor_size_loads_only_the_two_scipy_extension_modules():
+def test_factor_size_loads_only_the_one_scipy_extension_module():
     # the layer trace reads U.nnz and L.nnz of every factor; the band's
     # stored entries are counted without scipy.sparse
     out = _fresh("import sys\n"
@@ -38,7 +38,7 @@ def test_factor_size_loads_only_the_two_scipy_extension_modules():
                  "factor = _BandCholesky(ab)\n"
                  "print(factor.info, factor.U.nnz, factor.L.nnz)\n"
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert out.splitlines() == ["0 5 5", "['scipy.linalg._fblas', 'scipy.linalg._flapack']"]
+    assert out.splitlines() == ["0 5 5", "['scipy.linalg._flapack']"]
 
 
 _SHARED = """
@@ -48,7 +48,6 @@ import ckn.lapack
 from scipy.linalg import _flapack
 assert ckn.lapack.dpbtrf is scipy.linalg.lapack.dpbtrf
 assert ckn.lapack.dsyev is scipy.linalg.lapack.dsyev
-assert ckn.lapack.ddot is scipy.linalg.blas.ddot
 assert _flapack is sys.modules['scipy.linalg._flapack']
 ab = np.array([[0.0, -1.0, -1.0], [2.0, 2.0, 2.0]])
 x = scipy.linalg.solveh_banded(ab, np.array([1.0, 0.0, 1.0]))
@@ -75,9 +74,10 @@ def test_a_failed_direct_load_falls_back_to_scipy_linalg():
             "PathFinder.find_spec = staticmethod(hidden)\n"
             "import ckn.lapack\n"
             "assert 'scipy.linalg' in sys.modules\n"
-            "import scipy.linalg.blas, scipy.linalg.lapack\n"
+            "import scipy.linalg.lapack\n"
             "assert ckn.lapack.dgtsv is scipy.linalg.lapack.dgtsv\n"
             "assert ckn.lapack.dpttrs is scipy.linalg.lapack.dpttrs\n"
-            "assert ckn.lapack.ddot is scipy.linalg.blas.ddot\n"
+            "from ckn import io\n"
+            "assert io._scipy_version() == sys.modules['scipy'].__version__\n"
             "print('ok')")
     assert _fresh(code) == "ok"

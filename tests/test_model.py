@@ -108,6 +108,7 @@ def test_integrate_is_the_weighted_double_sum(folded):
     assert g.integrate(v) == pytest.approx(ref, rel=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
 def test_field_rejects_exactly_the_non_finite_values():
     # a single nan or inf is caught, and so are +inf and -inf together,
     # whose sum is nan; finite values are accepted even when their sum
